@@ -75,6 +75,26 @@ impl<A: BranchPredictor, B: BranchPredictor> BranchPredictor for McFarlingHybrid
         self.component_b.update(addr, outcome);
     }
 
+    #[inline]
+    fn access(&mut self, addr: BranchAddr, outcome: Outcome) -> bool {
+        // Fused: the choice counter is read once, each component resolves
+        // its own slots once through its fused `access`, and the choice is
+        // trained only on disagreement — the components' hits are exactly
+        // the correctness bits `update` would recompute.
+        let idx = self.choice_index(addr);
+        let use_a = self.choice.predict(idx).is_taken();
+        let a_hit = self.component_a.access(addr, outcome);
+        let b_hit = self.component_b.access(addr, outcome);
+        if a_hit != b_hit {
+            self.choice.train(idx, Outcome::from_bool(a_hit));
+        }
+        if use_a {
+            a_hit
+        } else {
+            b_hit
+        }
+    }
+
     fn name(&self) -> String {
         format!(
             "mcfarling({} vs {})",
@@ -187,6 +207,14 @@ impl BranchPredictor for ClassifiedHybrid {
     fn update(&mut self, addr: BranchAddr, outcome: Outcome) {
         let idx = self.component_of(addr);
         self.components[idx].update(addr, outcome);
+    }
+
+    #[inline]
+    fn access(&mut self, addr: BranchAddr, outcome: Outcome) -> bool {
+        // One assignment lookup per record, then the component's own fused
+        // access (a boxed component keeps its override).
+        let idx = self.component_of(addr);
+        self.components[idx].access(addr, outcome)
     }
 
     fn name(&self) -> String {
@@ -318,6 +346,116 @@ mod tests {
     fn bad_assignment_rejected() {
         let mut h = ClassifiedHybrid::new(vec![Box::new(StaticPredictor::always_taken())], 0);
         h.assign(BranchAddr::new(0x10), 5);
+    }
+
+    /// Deterministic address/outcome stream: a handful of hot addresses
+    /// (so tables alias and the choice counters move both ways) with
+    /// outcomes mixing biased, alternating and random branches.
+    fn stream(seed: u64, len: usize) -> Vec<(BranchAddr, Outcome)> {
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..len)
+            .map(|i| {
+                let r = next();
+                let slot = r % 24;
+                let addr = BranchAddr::new(0x40_0000 + slot * 4 + (r >> 40) % 3 * 0x1000);
+                let taken = match slot % 3 {
+                    0 => (r >> 8) % 10 != 0,
+                    1 => i % 2 == 0,
+                    _ => (r >> 8) % 2 == 0,
+                };
+                (addr, Outcome::from_bool(taken))
+            })
+            .collect()
+    }
+
+    /// Drives `fused` with `access` and `reference` with `predict` then
+    /// `update` over the same stream, asserting identical hits and identical
+    /// next predictions for every address seen — which pins the internal
+    /// state (choice table included), not just the returned hit bits.
+    fn assert_access_matches_split<P: BranchPredictor>(mut fused: P, mut reference: P, seed: u64) {
+        let records = stream(seed, 20_000);
+        for (i, &(addr, outcome)) in records.iter().enumerate() {
+            let expected = reference.predict(addr) == outcome;
+            reference.update(addr, outcome);
+            assert_eq!(
+                fused.access(addr, outcome),
+                expected,
+                "hit diverged at record {i} (seed {seed})"
+            );
+            assert_eq!(
+                fused.predict(addr),
+                reference.predict(addr),
+                "next prediction diverged after record {i} (seed {seed})"
+            );
+        }
+        for &(addr, _) in &records {
+            assert_eq!(fused.predict(addr), reference.predict(addr));
+        }
+    }
+
+    fn mcfarling() -> McFarlingHybrid<TwoLevelPredictor, TwoLevelPredictor> {
+        // A 4-entry choice table over 72 addresses: every choice counter is
+        // shared and retrained in both directions.
+        McFarlingHybrid::new(
+            TwoLevelPredictor::pas_paper(4),
+            TwoLevelPredictor::gas_paper(6),
+            2,
+        )
+    }
+
+    #[test]
+    fn mcfarling_access_matches_predict_then_update() {
+        for seed in [1, 0x9e37_79b9_7f4a_7c15, 42] {
+            assert_access_matches_split(mcfarling(), mcfarling(), seed);
+        }
+    }
+
+    #[test]
+    fn mcfarling_access_keeps_the_choice_table_in_step() {
+        let mut fused = mcfarling();
+        let mut reference = mcfarling();
+        for (addr, outcome) in stream(7, 5_000) {
+            fused.access(addr, outcome);
+            reference.predict(addr);
+            reference.update(addr, outcome);
+            assert_eq!(
+                fused.uses_component_a(addr),
+                reference.uses_component_a(addr)
+            );
+        }
+    }
+
+    fn classified() -> ClassifiedHybrid {
+        let mut hybrid = ClassifiedHybrid::new(
+            vec![
+                Box::new(StaticPredictor::always_taken()),
+                Box::new(TwoLevelPredictor::pas_paper(2)),
+                Box::new(TwoLevelPredictor::gas_paper(8)),
+                Box::new(mcfarling()),
+            ],
+            2,
+        );
+        // Route some addresses explicitly; the rest take the default.
+        for slot in 0..24u64 {
+            let addr = BranchAddr::new(0x40_0000 + slot * 4);
+            if slot % 4 != 2 {
+                hybrid.assign(addr, (slot % 4) as usize);
+            }
+        }
+        hybrid
+    }
+
+    #[test]
+    fn classified_access_matches_predict_then_update() {
+        for seed in [3, 0xdead_beef, 1234] {
+            assert_access_matches_split(classified(), classified(), seed);
+        }
     }
 
     #[test]

@@ -6,6 +6,15 @@
 //! so determinism of the analysis artifacts is untouched. The snapshot
 //! serializes through [`Wire`], reusing the same JSON writer the bench
 //! artifacts use.
+//!
+//! **Ordering invariant:** every snapshot taken after a client has received
+//! a response counts that response. The server calls
+//! [`Metrics::finish_request`] *before* it writes the final response bytes,
+//! so by the time the client can read the response (and send a follow-up
+//! `/metrics` request), the response is already folded into the counters.
+//! The flip side: a snapshot may count a response whose bytes are still in
+//! flight, and `request_micros` covers a request up to its final write, not
+//! the write itself.
 
 use btr_wire::{MapBuilder, Value, Wire, WireError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,6 +69,10 @@ impl Metrics {
     }
 
     /// Folds a finished request into the counters, classifying by status.
+    ///
+    /// Call it before writing the response to the client, so the module's
+    /// ordering invariant holds: a response the client has received is
+    /// counted in every later snapshot.
     pub fn finish_request(&self, timer: RequestTimer, status: u16) {
         let micros = timer.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.request_micros.fetch_add(micros, Ordering::Relaxed);

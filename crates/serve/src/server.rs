@@ -227,8 +227,9 @@ fn overloaded_close(mut stream: TcpStream, shared: &Shared) {
         active: shared.active.load(Ordering::SeqCst),
     };
     let resp = error_response(&err);
-    let _ = resp.write_to(&mut stream);
+    // Counted before the write: see the ordering invariant in `metrics`.
     shared.metrics.finish_request(timer, resp.status);
+    let _ = resp.write_to(&mut stream);
 }
 
 /// Serves one connection: parse, route, respond, close.
@@ -247,10 +248,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         },
         Err(e) => error_response(&e),
     };
-    let status = response.status;
+    // Counted before the final write, so a client that has read this
+    // response finds it in every `/metrics` snapshot it asks for next (the
+    // ordering invariant in `metrics`).
+    shared.metrics.finish_request(timer, response.status);
     let _ = response.write_to(reader.get_mut());
     let _ = reader.get_mut().shutdown(std::net::Shutdown::Both);
-    shared.metrics.finish_request(timer, status);
 }
 
 /// Renders a [`ServeError`] as its JSON error document.

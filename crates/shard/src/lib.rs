@@ -56,13 +56,25 @@ pub use fault::{FaultKind, FaultPlan, FAULT_ENV};
 pub use manifest::{Manifest, OutDir, MANIFEST_FORMAT};
 pub use unit::{SweepSpec, UnitSpec};
 
+use btr_sim::engine::SimEngine;
 use btr_sim::sweep::{HistorySweep, SweepResult};
 
 /// Runs the sequential reference for a spec: every benchmark trace through
 /// the fused [`HistorySweep`] — no sharding, no checkpoints. The sharded
 /// runner's merged result must match this bit for bit.
+///
+/// When the spec names a [`SweepSpec::trace_file`], that file is decoded
+/// with the same reader the units use and swept in one fused pass, instead
+/// of regenerating the (label-only) benchmark.
 pub fn run_sequential(spec: &SweepSpec) -> Result<SweepResult> {
     spec.validate()?;
+    if let Some(path) = &spec.trace_file {
+        let interned = unit::read_trace_file(path)?;
+        let mut fused = spec.family.fused_paper(&spec.histories);
+        let results = SimEngine::new().run_fused(&interned, &mut fused);
+        let parts = spec.histories.iter().copied().zip(results).collect();
+        return Ok(SweepResult::from_parts(spec.family, parts));
+    }
     let traces: Vec<_> = spec
         .benchmarks
         .iter()

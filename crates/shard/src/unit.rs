@@ -254,18 +254,23 @@ impl UnitSpec {
     /// so results are bit-identical for identical record streams.
     fn load_trace(&self) -> Result<InternedTrace> {
         match &self.trace_file {
-            Some(path) => {
-                let (_metadata, interned) = read_interned_btrt(path).map_err(|e| {
-                    ShardError::io(
-                        format!("decoding trace file {path}"),
-                        std::io::Error::other(e.to_string()),
-                    )
-                })?;
-                Ok(interned)
-            }
+            Some(path) => read_trace_file(path),
             None => Ok(self.benchmark.generate(&self.config).intern()),
         }
     }
+}
+
+/// Decodes a captured `BTRT` trace file through the columnar fast path —
+/// the one reader behind both file-backed units and the file-backed
+/// sequential reference, so the two always see the same records.
+pub(crate) fn read_trace_file(path: &str) -> Result<InternedTrace> {
+    let (_metadata, interned) = read_interned_btrt(path).map_err(|e| {
+        ShardError::io(
+            format!("decoding trace file {path}"),
+            std::io::Error::other(e.to_string()),
+        )
+    })?;
+    Ok(interned)
 }
 
 /// [`UnitSpec`] encodes every field verbatim; the coordinator writes one

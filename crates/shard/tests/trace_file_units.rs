@@ -2,9 +2,13 @@
 //! must (a) roundtrip its `trace_file` field on the wire, (b) reject shapes
 //! that cannot execute, and (c) produce partials **bit-identical** to the
 //! regenerate-from-descriptors route over the same records — the fast
-//! decoder and the workload generator must be interchangeable trace sources.
+//! decoder and the workload generator must be interchangeable trace sources
+//! — and (d) make the sequential reference sweep the captured file, so it
+//! equals the merged sharded run over that file.
 
-use btr_shard::{SweepSpec, UnitSpec};
+use btr_shard::{
+    run_sequential, Coordinator, CoordinatorConfig, Launcher, OutDir, SweepSpec, UnitSpec,
+};
 use btr_sim::config::PredictorFamily;
 use btr_wire::Wire;
 use btr_workloads::{Benchmark, SuiteConfig};
@@ -91,4 +95,33 @@ fn file_backed_units_match_regenerated_units_bit_for_bit() {
             );
         }
     }
+}
+
+#[test]
+fn sequential_reference_sweeps_the_captured_file_like_the_sharded_run() {
+    // Capture with a different seed than the spec's config, so regenerating
+    // the named benchmark would give different records: only a sequential
+    // run that really decodes the file can match the file-backed units.
+    let capture_config = SuiteConfig::default().with_scale(5e-8).with_seed(99);
+    let path = capture_compress_trace("sequential", &capture_config);
+    let file_backed = spec_with(Some(path), 2);
+    let sequential = run_sequential(&file_backed).expect("file-backed sequential runs");
+    let regenerated = run_sequential(&spec_with(None, 2)).expect("regenerated sequential runs");
+    assert_ne!(
+        sequential.to_btrw(),
+        regenerated.to_btrw(),
+        "the capture must differ from the regenerated benchmark for this pin to bite"
+    );
+
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-file-sequential");
+    let _ = fs::remove_dir_all(&root);
+    let config = CoordinatorConfig {
+        launcher: Launcher::InProcess,
+        ..CoordinatorConfig::default()
+    };
+    let sharded = Coordinator::new(OutDir::new(&root), config)
+        .run(file_backed)
+        .expect("file-backed sharded sweep converges");
+    assert_eq!(sharded.to_btrw(), sequential.to_btrw());
+    let _ = fs::remove_dir_all(&root);
 }

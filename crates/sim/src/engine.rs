@@ -2,10 +2,13 @@
 //!
 //! Two execution paths cover the same protocol:
 //!
-//! * [`SimEngine::run`] — the compatibility path: a `dyn BranchPredictor`
-//!   driven with predict-then-update calls, per-branch statistics in an
-//!   address-keyed `BTreeMap`. Works with any predictor, including hybrids
-//!   and wrappers built outside this crate.
+//! * [`SimEngine::run`] — the compatibility and oracle path: a
+//!   `dyn BranchPredictor` driven with predict-then-update calls, per-branch
+//!   statistics in an address-keyed `BTreeMap`. Works with any predictor,
+//!   including hybrids and wrappers built outside this crate. No experiment
+//!   behind `reproduce` calls it; it stays as the library's any-predictor
+//!   entry point and as the reference the equivalence suites check the fast
+//!   paths against.
 //! * [`SimEngine::run_interned`] / [`SimEngine::run_dispatch`] — the hot
 //!   path: a monomorphized loop over an [`InternedTrace`]'s contiguous
 //!   conditional records, the fused [`BranchPredictor::access`] call, and
@@ -502,10 +505,12 @@ impl SimEngine {
 
     /// Runs the predictor over every conditional branch of the trace.
     ///
-    /// This is the compatibility path: virtual predict/update calls and an
-    /// address-keyed map per record. Prefer [`SimEngine::run_interned`] (or
-    /// [`SimEngine::run_dispatch`]) for sweeps — it is several times faster
-    /// and produces bit-identical results.
+    /// This is the compatibility and oracle path: virtual predict/update
+    /// calls and an address-keyed map per record. Nothing in `reproduce`
+    /// calls it; the equivalence suites (e.g. `tests/ablation_equivalence.rs`)
+    /// use it as the reference for the hot paths. Prefer
+    /// [`SimEngine::run_interned`] (or [`SimEngine::run_dispatch`]) for real
+    /// work — it is several times faster and produces bit-identical results.
     pub fn run(&self, trace: &Trace, predictor: &mut dyn BranchPredictor) -> RunResult {
         let mut result = RunResult::default();
         let mut seen = 0u64;

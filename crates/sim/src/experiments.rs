@@ -19,7 +19,7 @@ use btr_core::joint::JointClassTable;
 use btr_core::profile::ProgramProfile;
 use btr_core::report;
 use btr_predictors::confidence::{
-    ConfidenceEstimator, ConfidenceStats, JacobsenOneLevel, JacobsenTwoLevel,
+    Confidence, ConfidenceEstimator, ConfidenceStats, JacobsenOneLevel, JacobsenTwoLevel,
 };
 use btr_predictors::gshare::GsharePredictor;
 use btr_predictors::hybrid::McFarlingHybrid;
@@ -27,6 +27,7 @@ use btr_predictors::predictor::BranchPredictor;
 use btr_predictors::twolevel::TwoLevelPredictor;
 use btr_trace::Trace;
 use btr_workloads::spec::{Benchmark, SuiteConfig};
+use stealpool::WorkStealingPool;
 
 /// Configuration shared by every experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -417,55 +418,64 @@ pub fn ablation_binning(data: &SuiteData) -> (Vec<(String, ClassificationAnalysi
     (results, rendered)
 }
 
-fn run_predictor_over_suite<F>(data: &SuiteData, mut make: F) -> RunResult
-where
-    F: FnMut() -> Box<dyn BranchPredictor>,
-{
+/// The five A2 predictors, in report order.
+pub const HYBRID_ABLATION_PREDICTORS: [&str; 5] = [
+    "classified hybrid (§5.4)",
+    "gshare(h=12)",
+    "mcfarling(PAs8,GAs12)",
+    "PAs(h=8)",
+    "GAs(h=12)",
+];
+
+/// Runs every A2 predictor over the whole suite, returning each predictor's
+/// merged [`RunResult`] in [`HYBRID_ABLATION_PREDICTORS`] order.
+///
+/// One work-stealing task per benchmark interns its trace once and replays
+/// it through each predictor on the monomorphized
+/// [`SimEngine::run_interned`] hot path, with fresh predictor state per
+/// benchmark as the paper does. Per-benchmark results merge in benchmark
+/// order, so the outcome does not depend on `ctx.threads` or the schedule.
+pub fn ablation_hybrid_runs(ctx: &ExperimentContext, data: &SuiteData) -> Vec<(String, RunResult)> {
+    let advisor = HybridAdvisor::new(ctx.scheme);
     let engine = SimEngine::new();
-    let mut merged = RunResult::default();
-    for trace in &data.traces {
-        let mut predictor = make();
-        merged.merge(&engine.run(trace, &mut *predictor));
+    let per_benchmark =
+        WorkStealingPool::new(ctx.threads).run(data.traces.iter().collect(), |_, trace| {
+            let interned = trace.intern();
+            [
+                engine.run_interned(&interned, &mut advisor.build_hybrid(&data.profile)),
+                engine.run_interned(&interned, &mut GsharePredictor::paper_sized(12)),
+                engine.run_interned(
+                    &interned,
+                    &mut McFarlingHybrid::new(
+                        TwoLevelPredictor::pas_paper(8),
+                        TwoLevelPredictor::gas_paper(12),
+                        14,
+                    ),
+                ),
+                engine.run_interned(&interned, &mut TwoLevelPredictor::pas_paper(8)),
+                engine.run_interned(&interned, &mut TwoLevelPredictor::gas_paper(12)),
+            ]
+        });
+    let mut merged: [RunResult; 5] = Default::default();
+    for results in &per_benchmark {
+        for (acc, result) in merged.iter_mut().zip(results) {
+            acc.merge(result);
+        }
     }
-    merged
+    HYBRID_ABLATION_PREDICTORS
+        .iter()
+        .map(|name| name.to_string())
+        .zip(merged)
+        .collect()
 }
 
 /// Ablation A2: the classification-guided hybrid of §5.4 against same-budget
 /// baselines.
 pub fn ablation_hybrid(ctx: &ExperimentContext, data: &SuiteData) -> (Vec<(String, f64)>, String) {
-    let advisor = HybridAdvisor::new(ctx.scheme);
-    let mut results: Vec<(String, f64)> = Vec::new();
-
-    let classified =
-        run_predictor_over_suite(data, || Box::new(advisor.build_hybrid(&data.profile)));
-    results.push((
-        "classified hybrid (§5.4)".to_string(),
-        classified.miss_rate().unwrap_or(0.0),
-    ));
-
-    let gshare = run_predictor_over_suite(data, || Box::new(GsharePredictor::paper_sized(12)));
-    results.push((
-        "gshare(h=12)".to_string(),
-        gshare.miss_rate().unwrap_or(0.0),
-    ));
-
-    let mcfarling = run_predictor_over_suite(data, || {
-        Box::new(McFarlingHybrid::new(
-            TwoLevelPredictor::pas_paper(8),
-            TwoLevelPredictor::gas_paper(12),
-            14,
-        ))
-    });
-    results.push((
-        "mcfarling(PAs8,GAs12)".to_string(),
-        mcfarling.miss_rate().unwrap_or(0.0),
-    ));
-
-    let pas_best = run_predictor_over_suite(data, || Box::new(TwoLevelPredictor::pas_paper(8)));
-    results.push(("PAs(h=8)".to_string(), pas_best.miss_rate().unwrap_or(0.0)));
-
-    let gas_best = run_predictor_over_suite(data, || Box::new(TwoLevelPredictor::gas_paper(12)));
-    results.push(("GAs(h=12)".to_string(), gas_best.miss_rate().unwrap_or(0.0)));
+    let results: Vec<(String, f64)> = ablation_hybrid_runs(ctx, data)
+        .into_iter()
+        .map(|(name, run)| (name, run.miss_rate().unwrap_or(0.0)))
+        .collect();
 
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -484,8 +494,7 @@ pub fn ablation_confidence(
     ctx: &ExperimentContext,
     data: &SuiteData,
 ) -> (Vec<(String, ConfidenceStats)>, String) {
-    let engine = SimEngine::new();
-    let mut class_based = ClassConfidence::from_profile(&data.profile, ctx.scheme, 0.25);
+    let class_based = ClassConfidence::from_profile(&data.profile, ctx.scheme, 0.25);
     let mut one_level = JacobsenOneLevel::new(12, 4);
     let mut two_level = JacobsenTwoLevel::new(12, 4, 4);
     let mut stats = vec![
@@ -493,26 +502,28 @@ pub fn ablation_confidence(
         ("jacobsen one-level".to_string(), ConfidenceStats::new()),
         ("jacobsen two-level".to_string(), ConfidenceStats::new()),
     ];
+    // Sequential on purpose: the Jacobsen estimators' tables carry over
+    // from one trace into the next, so trace order is part of the result.
     for trace in &data.traces {
+        let interned = trace.intern();
+        // The class-based estimator is static, so its answer (and its no-op
+        // `update`) resolves once per static branch, not once per record.
+        let class_confidence: Vec<Confidence> = interned
+            .addrs()
+            .iter()
+            .map(|&addr| class_based.estimate(addr))
+            .collect();
         let mut predictor = TwoLevelPredictor::gas_paper(8);
-        // Re-run the trace record by record so each estimator sees the same
-        // correctness stream the predictor produces.
-        let _ = &engine;
-        for record in trace.conditional_records() {
-            let correct = predictor.predict(record.addr()) == record.outcome();
-            predictor.update(record.addr(), record.outcome());
+        for record in interned.records() {
+            let addr = record.addr();
+            let correct = predictor.access(addr, record.outcome());
             stats[0]
                 .1
-                .record(class_based.estimate(record.addr()), correct);
-            class_based.update(record.addr(), correct);
-            stats[1]
-                .1
-                .record(one_level.estimate(record.addr()), correct);
-            one_level.update(record.addr(), correct);
-            stats[2]
-                .1
-                .record(two_level.estimate(record.addr()), correct);
-            two_level.update(record.addr(), correct);
+                .record(class_confidence[record.id() as usize], correct);
+            stats[1].1.record(one_level.estimate(addr), correct);
+            one_level.update(addr, correct);
+            stats[2].1.record(two_level.estimate(addr), correct);
+            two_level.update(addr, correct);
         }
     }
     let rows: Vec<Vec<String>> = stats

@@ -1,24 +1,30 @@
-//! Slice-based fast `BTRT` decode versus the generic-`Read` reference path.
+//! Slice-based `BTRT` decode versus the record-at-a-time reference decoder.
 //!
 //! Both variants decode the *same* in-memory byte stream into interned
-//! columnar chunks, so the comparison isolates exactly what the fast path
-//! changes: block refills into a reusable buffer, inlined slice varints, a
-//! direct-mapped intern cache and recycled chunk buffers, against the
-//! per-record `Read` calls of [`ChunkedTraceReader`]. The trace generator is
-//! the same as `streaming_throughput`, so the `slow/` row here is directly
-//! comparable to the `streaming_pipeline/decode_only/chunked64k` baselines
-//! recorded in earlier `BENCH_pr*.json` files.
+//! columnar chunks, so the comparison isolates exactly what
+//! [`FastBtrtReader`] does differently: block refills into a reusable
+//! buffer, inlined slice varints, a direct-mapped intern cache and recycled
+//! chunk buffers, against per-byte `Read` calls. The `slow/` lane is the
+//! test-only reference decoder (`crates/trace/tests/common/reference_btrt.rs`)
+//! chunked by [`btr_trace::ChunkedTraceReader::from_records`], the same work the
+//! library's former generic-`Read` chunker did, so its id and its recorded
+//! baselines carry over. The trace generator is the same as
+//! `streaming_throughput`.
 //!
 //! The `≥ 2×` acceptance target for the fast decoder is declared as a
 //! `min_ratio` row appended to `$CRITERION_JSON` and enforced by
 //! `scripts/bench_gate.py` within the *current* run.
 
+#[path = "../../trace/tests/common/reference_btrt.rs"]
+mod reference_btrt;
+
 use btr_trace::io::binary;
 use btr_trace::{
-    BranchAddr, BranchRecord, ChunkStream, ChunkedTraceReader, FastBtrtReader, Outcome, Trace,
-    TraceBuilder, DEFAULT_CHUNK_RECORDS,
+    BranchAddr, BranchRecord, ChunkStream, FastBtrtReader, Outcome, Trace, TraceBuilder,
+    DEFAULT_CHUNK_RECORDS,
 };
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use reference_btrt::reference_chunks;
 use std::io::Write;
 
 /// A trace shaped like the generated suite: a few thousand static branches
@@ -73,11 +79,11 @@ fn bench_decode_fast(c: &mut Criterion) {
     let mut group = c.benchmark_group("decode_fast");
     group.sample_size(10);
     group.throughput(Throughput::Elements(n as u64));
-    // The generic-`Read` reference: per-record decode through buffered
-    // `Read` calls, row chunks interned on the way past.
+    // The reference: per-record decode through `Read` calls, row chunks
+    // interned on the way past.
     group.bench_function("slow/chunk64k", |b| {
         b.iter(|| {
-            ChunkedTraceReader::btrt(encoded.as_slice(), DEFAULT_CHUNK_RECORDS)
+            reference_chunks(encoded.as_slice(), DEFAULT_CHUNK_RECORDS)
                 .unwrap()
                 .map(|c| c.unwrap().len())
                 .sum::<usize>()

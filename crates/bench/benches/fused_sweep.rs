@@ -13,15 +13,17 @@
 //!   before fusion). Fused wins ~15–17× — this and the streamed baseline
 //!   are the per-pass sweeps the fused engine replaced, and where the ≥ 4×
 //!   per-point acceptance bound is measured (`BENCH_pr5.json`).
-//! * `per_history_17decode/…` — one chunked decode+simulate pass of the
-//!   serialized `BTRT` bytes per history (the pre-fusion streamed path,
-//!   which re-decodes per point). Fused-streamed wins ~5.7–6.1×.
+//! * `per_history_17decode/fast_chunk64k/…` — one [`FastBtrtReader`]
+//!   decode+simulate pass of the serialized `BTRT` bytes per history (the
+//!   pre-fusion streamed path, which re-decodes per point), against
+//!   `fused_streamed/fast_chunk64k/…`, one decode pass for the whole curve.
+//!   Fused-streamed wins ~5.0× (`BENCH_pr13.json`).
 
 use btr_predictors::fused::FusedSweepPredictor;
 use btr_sim::config::PredictorKind;
 use btr_sim::engine::SimEngine;
 use btr_trace::io::binary;
-use btr_trace::{BranchAddr, BranchRecord, ChunkedTraceReader, Outcome, Trace, TraceBuilder};
+use btr_trace::{BranchAddr, BranchRecord, FastBtrtReader, Outcome, Trace, TraceBuilder};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 /// A trace shaped like the generated suite: a few thousand static branches
@@ -111,12 +113,12 @@ fn bench_fused_sweep(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(records * points));
     for (label, fused_factory, kind_factory) in families.iter().take(2) {
-        group.bench_function(format!("per_history_17decode/{label}"), |b| {
+        group.bench_function(format!("per_history_17decode/fast_chunk64k/{label}"), |b| {
             b.iter(|| {
                 histories
                     .iter()
                     .map(|&h| {
-                        let chunks = ChunkedTraceReader::btrt(bytes.as_slice(), 64 * 1024).unwrap();
+                        let chunks = FastBtrtReader::new(bytes.as_slice(), 64 * 1024).unwrap();
                         engine
                             .run_streamed_dispatch(chunks, &mut kind_factory(h).build_dispatch())
                             .unwrap()
@@ -124,9 +126,9 @@ fn bench_fused_sweep(c: &mut Criterion) {
                     .collect::<Vec<_>>()
             })
         });
-        group.bench_function(format!("fused_streamed_chunk64k/{label}"), |b| {
+        group.bench_function(format!("fused_streamed/fast_chunk64k/{label}"), |b| {
             b.iter(|| {
-                let chunks = ChunkedTraceReader::btrt(bytes.as_slice(), 64 * 1024).unwrap();
+                let chunks = FastBtrtReader::new(bytes.as_slice(), 64 * 1024).unwrap();
                 engine
                     .run_fused_streamed(chunks, &mut fused_factory(&histories))
                     .unwrap()

@@ -2,18 +2,18 @@
 //! of the chunked I/O path (PR 3) against the eager read-then-dispatch path,
 //! plus the windowed-parallel path for one huge trace.
 //!
-//! All variants decode the *same* in-memory `BTRT` byte stream, so the
-//! comparison covers the full pipeline each path really executes: decode (+
-//! intern) + simulate. The acceptance bar is streamed throughput within 20%
-//! of eager.
+//! All variants decode the *same* in-memory `BTRT` byte stream through
+//! [`FastBtrtReader`] (the eager lanes via `binary::read_trace`, which drains
+//! one), so the comparison covers the full pipeline each path really
+//! executes: decode (+ intern) + simulate. The acceptance bar is streamed
+//! throughput within 20% of eager.
 
 use btr_sim::config::{PredictorKind, WarmupWindow, WindowConfig};
 use btr_sim::engine::SimEngine;
 use btr_sim::runner::SuiteRunner;
 use btr_trace::io::binary;
 use btr_trace::{
-    BranchAddr, BranchRecord, ChunkedTraceReader, Outcome, Trace, TraceBuilder,
-    DEFAULT_CHUNK_RECORDS,
+    BranchAddr, BranchRecord, FastBtrtReader, Outcome, Trace, TraceBuilder, DEFAULT_CHUNK_RECORDS,
 };
 use btr_workloads::spec::SuiteConfig;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -60,11 +60,14 @@ fn bench_streaming(c: &mut Criterion) {
     });
     for chunk_records in [1 << 12, DEFAULT_CHUNK_RECORDS, 1 << 20] {
         group.bench_function(
-            format!("streamed/chunk{}k/{}", chunk_records >> 10, kind.label()),
+            format!(
+                "streamed/fast_chunk{}k/{}",
+                chunk_records >> 10,
+                kind.label()
+            ),
             |b| {
                 b.iter(|| {
-                    let chunks =
-                        ChunkedTraceReader::btrt(encoded.as_slice(), chunk_records).unwrap();
+                    let chunks = FastBtrtReader::new(encoded.as_slice(), chunk_records).unwrap();
                     engine
                         .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
                         .unwrap()
@@ -76,9 +79,9 @@ fn bench_streaming(c: &mut Criterion) {
     group.bench_function("decode_only/eager", |b| {
         b.iter(|| binary::read_trace(&mut encoded.as_slice()).unwrap().len())
     });
-    group.bench_function("decode_only/chunked64k", |b| {
+    group.bench_function("decode_only/fast_chunk64k", |b| {
         b.iter(|| {
-            ChunkedTraceReader::btrt(encoded.as_slice(), DEFAULT_CHUNK_RECORDS)
+            FastBtrtReader::new(encoded.as_slice(), DEFAULT_CHUNK_RECORDS)
                 .unwrap()
                 .map(|c| c.unwrap().len())
                 .sum::<usize>()

@@ -1,10 +1,10 @@
 //! Request parameters and the per-request analysis drivers.
 //!
 //! Both endpoints stream the upload exactly once: the body bytes flow
-//! through [`crate::digest::DigestReader`] (content addressing) into a
-//! chunked decoder — [`FastBtrtReader`] for `BTRT` uploads (the columnar
-//! slice fast path), [`ChunkedTraceReader`] for text — and every decoded
-//! chunk is folded into a [`DenseTraceStats`] on the way past:
+//! through [`crate::digest::DigestReader`] (content addressing) into one
+//! chunked decoder per upload — [`FastBtrtReader`] for `BTRT`,
+//! [`ChunkedTraceReader`] for text, picked once by `UploadReader` — and
+//! every decoded chunk is folded into a [`DenseTraceStats`] on the way past:
 //! classification, simulation and profiling all ride the same pass, with
 //! per-branch statistics indexed by the reader's dense interned ids rather
 //! than a per-record map lookup. Peak memory per request is one chunk plus
@@ -22,10 +22,10 @@ use btr_core::profile::ProgramProfile;
 use btr_sim::config::PredictorFamily;
 use btr_sim::engine::{RunResult, SimEngine};
 use btr_sim::sweep::SweepResult;
-use btr_trace::io::chunked::TraceChunk;
+use btr_trace::io::TextRecordReader;
 use btr_trace::{
     BranchRecord, ChunkStream, ChunkedTraceReader, DenseTraceStats, FastBtrtReader, InternedTrace,
-    Trace, TraceMetadata,
+    Trace, TraceChunk, TraceMetadata,
 };
 use btr_wire::{MapBuilder, Value, Wire};
 use std::cell::Cell;
@@ -185,22 +185,10 @@ pub fn run_classify<R: Read>(
     scheme: BinningScheme,
     budgets: Budgets,
 ) -> Result<AnalysisOutcome, ServeError> {
+    let mut reader = UploadReader::new(body, format, budgets)?;
     let mut dense = DenseTraceStats::new();
-    let (metadata, records) = match format {
-        BodyFormat::Btrt => {
-            let mut reader =
-                FastBtrtReader::new(body, budgets.chunk_records).map_err(ServeError::from_trace)?;
-            let metadata = reader.metadata().clone();
-            let records = observe_all(&mut reader, &mut dense, budgets)?;
-            (metadata, records)
-        }
-        BodyFormat::Text => {
-            let mut reader = ChunkedTraceReader::text(body, budgets.chunk_records);
-            let records = observe_all(&mut reader, &mut dense, budgets)?;
-            let metadata = reader.source().metadata().clone();
-            (metadata, records)
-        }
-    };
+    observe_all(&mut reader, &mut dense, budgets, |_| {})?;
+    let (metadata, records) = reader.finish();
     let stats = dense.into_trace_stats();
     let profile = ProgramProfile::from_stats(&stats);
     let table = JointClassTable::from_profile(&profile, scheme);
@@ -256,43 +244,20 @@ pub fn run_sweep<R: Read>(
     budgets: Budgets,
     pool: &WorkStealingPool,
 ) -> Result<AnalysisOutcome, ServeError> {
+    let mut reader = UploadReader::new(body, format, budgets)?;
     let mut dense = DenseTraceStats::new();
     let mut fused = family.fused_paper(histories);
-    let engine = SimEngine::new();
     let budget_hit = Cell::new(false);
-    let (metadata, results, records) = match format {
-        BodyFormat::Btrt => {
-            let mut reader =
-                FastBtrtReader::new(body, budgets.chunk_records).map_err(ServeError::from_trace)?;
-            let metadata = reader.metadata().clone();
-            let results = engine.run_fused_streamed(
-                Observing {
-                    inner: &mut reader,
-                    stats: &mut dense,
-                    budgets,
-                    budget_hit: &budget_hit,
-                },
-                &mut fused,
-            );
-            let records = reader.records_read();
-            (metadata, results, records)
-        }
-        BodyFormat::Text => {
-            let mut reader = ChunkedTraceReader::text(body, budgets.chunk_records);
-            let results = engine.run_fused_streamed(
-                Observing {
-                    inner: &mut reader,
-                    stats: &mut dense,
-                    budgets,
-                    budget_hit: &budget_hit,
-                },
-                &mut fused,
-            );
-            let records = reader.records_read();
-            let metadata = reader.source().metadata().clone();
-            (metadata, results, records)
-        }
-    };
+    let results = SimEngine::new().run_fused_streamed(
+        Observing {
+            inner: &mut reader,
+            stats: &mut dense,
+            budgets,
+            budget_hit: &budget_hit,
+        },
+        &mut fused,
+    );
+    let (metadata, records) = reader.finish();
     let results = match results {
         Ok(results) => results,
         Err(e) => {
@@ -351,23 +316,13 @@ pub fn materialize_sweep<R: Read>(
     format: BodyFormat,
     budgets: Budgets,
 ) -> Result<MaterializedSweep, ServeError> {
+    let mut reader = UploadReader::new(body, format, budgets)?;
     let mut dense = DenseTraceStats::new();
     let mut collected: Vec<BranchRecord> = Vec::new();
-    let (metadata, records) = match format {
-        BodyFormat::Btrt => {
-            let mut reader =
-                FastBtrtReader::new(body, budgets.chunk_records).map_err(ServeError::from_trace)?;
-            let metadata = reader.metadata().clone();
-            let records = collect_all(&mut reader, &mut dense, &mut collected, budgets)?;
-            (metadata, records)
-        }
-        BodyFormat::Text => {
-            let mut reader = ChunkedTraceReader::text(body, budgets.chunk_records);
-            let records = collect_all(&mut reader, &mut dense, &mut collected, budgets)?;
-            let metadata = reader.source().metadata().clone();
-            (metadata, records)
-        }
-    };
+    observe_all(&mut reader, &mut dense, budgets, |chunk| {
+        collected.extend_from_slice(chunk.records());
+    })?;
+    let (metadata, records) = reader.finish();
     let stats = dense.into_trace_stats();
     let interned = Trace::from_records(metadata.clone(), collected).intern();
     Ok(MaterializedSweep {
@@ -457,20 +412,71 @@ fn render_sweep(
     AnalysisOutcome { value, records }
 }
 
+/// One upload's chunk decoder, chosen once from its [`BodyFormat`].
+enum UploadReader<R: Read> {
+    Btrt(FastBtrtReader<R>),
+    Text(ChunkedTraceReader<TextRecordReader<R>>),
+}
+
+impl<R: Read> UploadReader<R> {
+    /// Starts decoding `body`; a `BTRT` header is validated eagerly (422 on
+    /// failure).
+    fn new(body: R, format: BodyFormat, budgets: Budgets) -> Result<Self, ServeError> {
+        Ok(match format {
+            BodyFormat::Btrt => UploadReader::Btrt(
+                FastBtrtReader::new(body, budgets.chunk_records).map_err(ServeError::from_trace)?,
+            ),
+            BodyFormat::Text => {
+                UploadReader::Text(ChunkedTraceReader::text(body, budgets.chunk_records))
+            }
+        })
+    }
+
+    /// Returns the upload's metadata and the records decoded, dropping the
+    /// decoder so its buffers are freed before the caller's aggregation and
+    /// rendering peak. For text the metadata is the record reader's live
+    /// view, so after draining it includes comment lines met between
+    /// records, as the eager text reader does.
+    fn finish(self) -> (TraceMetadata, u64) {
+        match self {
+            UploadReader::Btrt(reader) => (reader.metadata().clone(), reader.records_read()),
+            UploadReader::Text(reader) => {
+                (reader.source().metadata().clone(), reader.records_read())
+            }
+        }
+    }
+}
+
+impl<R: Read> ChunkStream for UploadReader<R> {
+    fn pull(&mut self) -> Option<btr_trace::Result<TraceChunk>> {
+        match self {
+            UploadReader::Btrt(reader) => reader.pull(),
+            UploadReader::Text(reader) => reader.pull(),
+        }
+    }
+
+    fn recycle(&mut self, chunk: TraceChunk) {
+        match self {
+            UploadReader::Btrt(reader) => reader.recycle(chunk),
+            UploadReader::Text(reader) => reader.recycle(chunk),
+        }
+    }
+}
+
 /// Drains a chunk stream, folding every chunk's columns into the dense
-/// statistics and enforcing the static-branch budget after each chunk. Chunk
-/// buffers are recycled back to the stream, so steady-state decoding
-/// allocates nothing.
+/// statistics, handing it to `visit`, and enforcing the static-branch budget
+/// after each chunk. Chunk buffers are recycled back to the stream, so
+/// steady-state decoding allocates nothing.
 fn observe_all<S: ChunkStream>(
     stream: &mut S,
     stats: &mut DenseTraceStats,
     budgets: Budgets,
-) -> Result<u64, ServeError> {
-    let mut records = 0u64;
+    mut visit: impl FnMut(&TraceChunk),
+) -> Result<(), ServeError> {
     while let Some(chunk) = stream.pull() {
         let chunk = chunk.map_err(ServeError::from_trace)?;
-        records += chunk.len() as u64;
         stats.observe_chunk(&chunk);
+        visit(&chunk);
         stream.recycle(chunk);
         if stats.static_conditional_count() > budgets.max_static_branches {
             return Err(ServeError::BudgetExceeded {
@@ -479,32 +485,7 @@ fn observe_all<S: ChunkStream>(
             });
         }
     }
-    Ok(records)
-}
-
-/// Drains a chunk stream like [`observe_all`], additionally collecting every
-/// record for materialization.
-fn collect_all<S: ChunkStream>(
-    stream: &mut S,
-    stats: &mut DenseTraceStats,
-    collected: &mut Vec<BranchRecord>,
-    budgets: Budgets,
-) -> Result<u64, ServeError> {
-    let mut records = 0u64;
-    while let Some(chunk) = stream.pull() {
-        let chunk = chunk.map_err(ServeError::from_trace)?;
-        records += chunk.len() as u64;
-        stats.observe_chunk(&chunk);
-        collected.extend_from_slice(chunk.records());
-        stream.recycle(chunk);
-        if stats.static_conditional_count() > budgets.max_static_branches {
-            return Err(ServeError::BudgetExceeded {
-                what: "static branches",
-                limit: budgets.max_static_branches as u64,
-            });
-        }
-    }
-    Ok(records)
+    Ok(())
 }
 
 /// Tees a chunk stream into [`DenseTraceStats`] while the fused engine
@@ -627,6 +608,85 @@ mod tests {
         ] {
             assert_eq!(err.status(), 400, "{err}");
         }
+    }
+
+    /// A small mixed-kind trace with metadata, encoded as `BTRT` and as text;
+    /// the text copy carries its seed comment *after* the first record.
+    fn both_encodings() -> (usize, Vec<u8>, Vec<u8>) {
+        use btr_trace::{BranchAddr, BranchKind, Outcome, TraceBuilder};
+        let mut b = TraceBuilder::new("formats")
+            .with_input_set("both")
+            .with_seed(77);
+        for i in 0..600u64 {
+            let addr = BranchAddr::new(0x40_0000 + (i * 7 % 23) * 4);
+            if i % 9 == 8 {
+                b.push(
+                    BranchRecord::new(addr, BranchKind::Call, Outcome::Taken)
+                        .with_target(BranchAddr::new(0x50_0000 + i)),
+                );
+            } else {
+                b.push(BranchRecord::conditional(
+                    addr,
+                    Outcome::from_bool(i % 3 != 0 || i % 5 == 0),
+                ));
+            }
+        }
+        let trace = b.build();
+        let mut btrt = Vec::new();
+        btr_trace::io::binary::write_trace(&mut btrt, &trace).expect("writing to a Vec");
+        let mut text = Vec::new();
+        btr_trace::io::text::write_trace(&mut text, &trace).expect("writing to a Vec");
+        let text = String::from_utf8(text).expect("the text format is UTF-8");
+        let mut lines: Vec<&str> = text.lines().collect();
+        let seed = lines.remove(2);
+        assert_eq!(seed, "# seed: 77");
+        lines.insert(3, seed);
+        (trace.len(), btrt, (lines.join("\n") + "\n").into_bytes())
+    }
+
+    #[test]
+    fn btrt_and_text_uploads_render_identical_documents() {
+        let (len, btrt, text) = both_encodings();
+        let budgets = Budgets {
+            chunk_records: 64,
+            max_static_branches: 1 << 10,
+        };
+        let pool = WorkStealingPool::new(2);
+        let scheme = BinningScheme::Paper11;
+        let metric = Metric::TransitionRate;
+        let family = PredictorFamily::PAs;
+        let histories = [0, 2, 4];
+
+        let classify = |body: &[u8], format| {
+            run_classify(body, format, scheme, budgets).expect("valid upload")
+        };
+        let (from_btrt, from_text) = (
+            classify(&btrt, BodyFormat::Btrt),
+            classify(&text, BodyFormat::Text),
+        );
+        assert_eq!(from_btrt.records, len as u64);
+        assert_eq!(from_text.records, len as u64);
+        assert_eq!(from_btrt.value, from_text.value);
+
+        let sweep = |body: &[u8], format| {
+            run_sweep(
+                body, format, scheme, metric, family, &histories, budgets, &pool,
+            )
+            .expect("valid upload")
+            .value
+        };
+        let streamed = sweep(&btrt, BodyFormat::Btrt);
+        assert_eq!(streamed, sweep(&text, BodyFormat::Text));
+
+        let materialized = |body: &[u8], format| {
+            let upload = materialize_sweep(body, format, budgets).expect("valid upload");
+            let results =
+                SimEngine::new().run_fused(&upload.interned, &mut family.fused_paper(&histories));
+            sweep_document(&upload, family, &histories, results, metric, scheme, &pool).value
+        };
+        let batched = materialized(&btrt, BodyFormat::Btrt);
+        assert_eq!(batched, materialized(&text, BodyFormat::Text));
+        assert_eq!(batched, streamed);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! that exercises it.
 //!
 //! The daemon speaks a dependency-free slice of HTTP/1.1 over
-//! `std::net::TcpListener`. Uploaded traces (`BTRT` binary or text) stream
-//! through [`btr_trace::ChunkedTraceReader`] — an upload is never buffered
+//! `std::net::TcpListener`. Uploaded traces stream through a chunked
+//! decoder — [`btr_trace::FastBtrtReader`] for `BTRT` binary,
+//! [`btr_trace::ChunkedTraceReader`] for text; an upload is never buffered
 //! whole — into the classification profile, the fused multi-history sweep
 //! engine and the §5.4 hybrid advisor, and responses render as JSON or
 //! `BTRW` through the [`btr_wire::Wire`] data model, negotiated per request

@@ -22,10 +22,11 @@
 //! Two more paths cover paper-scale traces that cannot (or should not) be
 //! materialised:
 //!
-//! * [`SimEngine::run_streamed`] consumes bounded [`TraceChunk`]s from a
-//!   [`btr_trace::ChunkedTraceReader`], so peak memory is one chunk plus the
-//!   per-static-branch tables — independent of trace length — while staying
-//!   bit-identical to the eager hot path.
+//! * [`SimEngine::run_streamed`] consumes bounded [`TraceChunk`]s from any
+//!   [`ChunkStream`] ([`btr_trace::FastBtrtReader`] for `BTRT` bytes,
+//!   [`btr_trace::ChunkedTraceReader`] for text), so peak memory is one
+//!   chunk plus the per-static-branch tables — independent of trace length
+//!   — while staying bit-identical to the eager hot path.
 //! * [`SimEngine::run_window`] simulates one window of a trace on a fresh
 //!   predictor after replaying a configurable warmup region
 //!   ([`WarmupWindow`]), producing a mergeable [`DenseMissTable`] partial;

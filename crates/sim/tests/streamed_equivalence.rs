@@ -13,7 +13,7 @@ use btr_sim::config::{PredictorKind, WarmupWindow, WindowConfig};
 use btr_sim::engine::SimEngine;
 use btr_sim::runner::SuiteRunner;
 use btr_trace::io::binary;
-use btr_trace::{BranchAddr, BranchRecord, ChunkedTraceReader, Outcome, Trace, TraceBuilder};
+use btr_trace::{BranchAddr, BranchRecord, FastBtrtReader, Outcome, Trace, TraceBuilder};
 use btr_workloads::spec::{Benchmark, SuiteConfig};
 use proptest::prelude::*;
 
@@ -68,7 +68,7 @@ fn run_streamed_is_bit_identical_to_run_dispatch() {
         for kind in predictor_kinds() {
             let eager = engine.run_dispatch(&interned, &mut kind.build_dispatch());
             for chunk_records in [1usize, 7, 4096, 10_000_000] {
-                let chunks = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
+                let chunks = FastBtrtReader::new(buf.as_slice(), chunk_records).unwrap();
                 let streamed = engine
                     .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
                     .unwrap();
@@ -93,7 +93,7 @@ fn run_streamed_honours_engine_warmup_identically() {
     for warmup in [0u64, 1, 137, 2999, 3000, 9999] {
         let engine = SimEngine::new().with_warmup(warmup);
         let eager = engine.run_dispatch(&interned, &mut kind.build_dispatch());
-        let chunks = ChunkedTraceReader::btrt(buf.as_slice(), 256).unwrap();
+        let chunks = FastBtrtReader::new(buf.as_slice(), 256).unwrap();
         let streamed = engine
             .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
             .unwrap();
@@ -107,7 +107,7 @@ fn run_streamed_propagates_decode_errors() {
     let mut buf = Vec::new();
     binary::write_trace(&mut buf, &trace).unwrap();
     buf.truncate(buf.len() - 3);
-    let chunks = ChunkedTraceReader::btrt(buf.as_slice(), 64).unwrap();
+    let chunks = FastBtrtReader::new(buf.as_slice(), 64).unwrap();
     let err = SimEngine::new()
         .run_streamed_dispatch(chunks, &mut PredictorKind::StaticTaken.build_dispatch())
         .unwrap_err();
@@ -237,7 +237,7 @@ proptest! {
         let kind = PredictorKind::PAsPaper { history: 6 };
         let engine = SimEngine::new();
         let eager = engine.run_dispatch(&trace.intern(), &mut kind.build_dispatch());
-        let chunks = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
+        let chunks = FastBtrtReader::new(buf.as_slice(), chunk_records).unwrap();
         let streamed = engine
             .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
             .unwrap();

@@ -18,9 +18,15 @@
 //! kind (3 bits), the outcome (1 bit) and target presence (1 bit). Typical
 //! workload traces compress to roughly 2 bytes per record because consecutive
 //! branches tend to be close together in the address space.
+//!
+//! This module holds the encoder ([`write_trace`]) and the header parser.
+//! Records are decoded only by [`super::fast::FastBtrtReader`];
+//! [`read_trace`] drains one into a [`Trace`].
 
 use crate::error::TraceError;
-use crate::record::{BranchAddr, BranchKind, BranchRecord, Outcome};
+use crate::io::chunked::{ChunkStream, DEFAULT_CHUNK_RECORDS};
+use crate::io::fast::FastBtrtReader;
+use crate::record::{BranchKind, BranchRecord};
 use crate::trace::{Trace, TraceBuilder, TraceMetadata};
 use crate::Result;
 use std::io::{Read, Write};
@@ -65,14 +71,10 @@ pub(crate) fn kind_from_code(code: u8) -> Option<BranchKind> {
 // canonical-varint implementation for the whole workspace (overflow and
 // non-minimal encodings rejected there), with errors mapped to trace terms
 // at this boundary.
-use btr_wire::varint::{zigzag_decode, zigzag_encode};
+use btr_wire::varint::zigzag_encode;
 
 fn write_varint<W: Write>(w: &mut W, v: u64) -> Result<()> {
     btr_wire::varint::write_varint(w, v).map_err(varint_error)
-}
-
-fn read_varint<R: Read>(r: &mut R, context: &'static str) -> Result<u64> {
-    btr_wire::varint::read_varint(r, context).map_err(varint_error)
 }
 
 pub(crate) fn varint_error(e: btr_wire::WireError) -> TraceError {
@@ -161,10 +163,10 @@ fn write_header<W: Write>(w: &mut W, meta: &TraceMetadata, count: u64) -> Result
 fn write_record<W: Write>(w: &mut W, record: &BranchRecord, prev_addr: &mut u64) -> Result<()> {
     let mut flags = kind_code(record.kind());
     if record.outcome().is_taken() {
-        flags |= 1 << 3;
+        flags |= FLAG_TAKEN;
     }
     if record.target().is_some() {
-        flags |= 1 << 4;
+        flags |= FLAG_TARGET;
     }
     w.write_all(&[flags])?;
     // Wrapping, to mirror the decoder's `wrapping_add`: a jump across the
@@ -195,9 +197,7 @@ impl<R: Read> Read for CountingReader<R> {
 }
 
 /// Parses a `BTRT` header, returning the metadata and the declared record
-/// count. Shared by the per-record [`BinaryRecordReader`] and the block
-/// decoder in [`super::fast`] so the two paths cannot diverge on header
-/// validation or error contexts.
+/// count, for the block decoder in [`super::fast`].
 pub(crate) fn read_header<R: Read>(reader: &mut CountingReader<R>) -> Result<(TraceMetadata, u64)> {
     let magic: [u8; 4] = read_exact(reader, "magic")?;
     if magic != MAGIC {
@@ -229,133 +229,25 @@ pub(crate) fn read_header<R: Read>(reader: &mut CountingReader<R>) -> Result<(Tr
     Ok((metadata, declared))
 }
 
-/// Streaming reader yielding one [`BranchRecord`] at a time from a `BTRT`
-/// stream, so very large traces do not have to be materialised.
-#[derive(Debug)]
-pub struct BinaryRecordReader<R> {
-    reader: CountingReader<R>,
-    metadata: TraceMetadata,
-    declared: u64,
-    produced: u64,
-    prev_addr: u64,
-}
-
-impl<R: Read> BinaryRecordReader<R> {
-    /// Reads and validates the header, returning a record iterator.
-    ///
-    /// # Errors
-    ///
-    /// Fails on bad magic bytes, unsupported versions, or truncated headers.
-    pub fn new(reader: R) -> Result<Self> {
-        let mut reader = CountingReader {
-            inner: reader,
-            bytes: 0,
-        };
-        let (metadata, declared) = read_header(&mut reader)?;
-        Ok(BinaryRecordReader {
-            reader,
-            metadata,
-            declared,
-            produced: 0,
-            prev_addr: 0,
-        })
-    }
-
-    /// The metadata decoded from the header.
-    pub fn metadata(&self) -> &TraceMetadata {
-        &self.metadata
-    }
-
-    /// The number of records the header declared.
-    pub fn declared_count(&self) -> u64 {
-        self.declared
-    }
-
-    /// The number of bytes consumed from the underlying stream so far
-    /// (header included).
-    pub fn byte_offset(&self) -> u64 {
-        self.reader.bytes
-    }
-
-    /// Promotes a record-level end-of-stream into the typed truncation error,
-    /// pinning the record index and byte offset; other errors pass through.
-    fn truncation(&self, e: TraceError) -> TraceError {
-        match e {
-            TraceError::UnexpectedEof { context } => TraceError::TruncatedRecord {
-                record: self.produced,
-                offset: self.reader.bytes,
-                context,
-            },
-            other => other,
-        }
-    }
-
-    // Kept free of error-path decoration: end-of-stream promotion to
-    // `TruncatedRecord` happens once in `next()`, so the hot loop carries no
-    // per-field closure captures.
-    fn read_record(&mut self) -> Result<BranchRecord> {
-        let flags: [u8; 1] = read_exact(&mut self.reader, "record flags")?;
-        let flags = flags[0];
-        let kind = kind_from_code(flags & KIND_MASK).ok_or(TraceError::UnknownKind {
-            code: char::from(b'0' + (flags & KIND_MASK)),
-        })?;
-        let outcome = Outcome::from_bool(flags & FLAG_TAKEN != 0);
-        let has_target = flags & FLAG_TARGET != 0;
-        let delta = zigzag_decode(read_varint(&mut self.reader, "address delta")?);
-        let addr = self.prev_addr.wrapping_add(delta as u64);
-        self.prev_addr = addr;
-        let mut record = BranchRecord::new(BranchAddr::new(addr), kind, outcome);
-        if has_target {
-            let target = read_varint(&mut self.reader, "target address")?;
-            record = record.with_target(BranchAddr::new(target));
-        }
-        Ok(record)
-    }
-}
-
-impl<R: Read> Iterator for BinaryRecordReader<R> {
-    type Item = Result<BranchRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.produced >= self.declared {
-            return None;
-        }
-        match self.read_record() {
-            Ok(record) => {
-                self.produced += 1;
-                Some(Ok(record))
-            }
-            Err(e) => {
-                // Promote end-of-stream to the typed truncation error here —
-                // once per failure, not once per field — then fuse the
-                // iterator: a decode error is not recoverable mid-stream,
-                // since record boundaries are lost.
-                let e = self.truncation(e);
-                self.produced = self.declared;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// Reads an entire trace from a `BTRT` stream into memory.
+/// Reads an entire trace from a `BTRT` stream into memory, draining a
+/// [`FastBtrtReader`] — the one `BTRT` record decoder — into a [`Trace`].
+///
+/// The reader refills in blocks, so it may consume bytes from `reader` past
+/// the trace's last record: do not rely on the stream being positioned just
+/// after the trace when this returns.
 ///
 /// # Errors
 ///
-/// Fails on any decoding error or if the declared record count does not match
-/// the number of records present.
+/// Fails on any header or record decoding error, including a stream that
+/// ends before the declared record count.
 pub fn read_trace<R: Read>(reader: &mut R) -> Result<Trace> {
-    let stream = BinaryRecordReader::new(reader)?;
-    let declared = stream.declared_count();
+    let mut stream = FastBtrtReader::new(reader, DEFAULT_CHUNK_RECORDS)?;
     let mut builder = TraceBuilder::with_metadata(stream.metadata().clone());
-    builder.reserve(declared.min(1 << 24) as usize);
-    let mut actual = 0u64;
-    for record in stream {
-        builder.push(record?);
-        actual += 1;
-    }
-    if actual != declared {
-        return Err(TraceError::CountMismatch { declared, actual });
+    builder.reserve(stream.declared_count().min(1 << 24) as usize);
+    while let Some(chunk) = stream.pull() {
+        let chunk = chunk?;
+        builder.extend(chunk.records().iter().copied());
+        stream.recycle(chunk);
     }
     Ok(builder.build())
 }
@@ -363,6 +255,8 @@ pub fn read_trace<R: Read>(reader: &mut R) -> Result<Trace> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{BranchAddr, Outcome};
+    use btr_wire::varint::zigzag_decode;
 
     fn sample_trace() -> Trace {
         let mut b = TraceBuilder::new("gcc")
@@ -385,6 +279,16 @@ mod tests {
             Outcome::NotTaken,
         ));
         b.build()
+    }
+
+    /// Header length for `trace`'s metadata: the layout does not depend on
+    /// the record count's value, so an empty trace's encoding is exactly the
+    /// header.
+    fn header_len(trace: &Trace) -> usize {
+        let mut buf = Vec::new();
+        let empty = Trace::from_records(trace.metadata().clone(), Vec::new());
+        write_trace(&mut buf, &empty).expect("writing to a Vec cannot fail");
+        buf.len()
     }
 
     #[test]
@@ -449,14 +353,12 @@ mod tests {
     fn truncation_between_flag_and_delta_is_typed() {
         let trace = sample_trace();
         let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
+        write_trace(&mut buf, &trace).expect("writing to a Vec cannot fail");
         // Keep the header plus the first record's flag byte only: the delta
         // varint of record 0 is missing.
-        let reader = BinaryRecordReader::new(buf.as_slice()).unwrap();
-        let header_len = reader.byte_offset() as usize;
+        let header_len = header_len(&trace);
         buf.truncate(header_len + 1);
-        let mut stream = BinaryRecordReader::new(buf.as_slice()).unwrap();
-        let err = stream.next().unwrap().unwrap_err();
+        let err = read_trace(&mut buf.as_slice()).expect_err("torn record must not decode");
         match err {
             TraceError::TruncatedRecord {
                 record,
@@ -469,7 +371,9 @@ mod tests {
             }
             other => panic!("expected TruncatedRecord, got {other:?}"),
         }
-        // The iterator is fused after the error.
+        // The underlying chunk reader is fused after the error.
+        let mut stream = FastBtrtReader::new(buf.as_slice(), 8).expect("intact header decodes");
+        assert!(stream.next().expect("one error").is_err());
         assert!(stream.next().is_none());
     }
 
@@ -525,10 +429,7 @@ mod tests {
         let trace = sample_trace();
         let mut buf = Vec::new();
         write_trace(&mut buf, &trace).expect("writing to a Vec cannot fail");
-        let header_len = BinaryRecordReader::new(buf.as_slice())
-            .expect("intact header decodes")
-            .byte_offset() as usize;
-        for cut in 4..header_len {
+        for cut in 4..header_len(&trace) {
             let mut short = buf.clone();
             short.truncate(cut);
             let err =
@@ -544,10 +445,12 @@ mod tests {
     fn streaming_reader_yields_each_record() {
         let trace = sample_trace();
         let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
-        let reader = BinaryRecordReader::new(buf.as_slice()).unwrap();
+        write_trace(&mut buf, &trace).expect("writing to a Vec cannot fail");
+        let reader = FastBtrtReader::new(buf.as_slice(), 1).expect("intact header decodes");
         assert_eq!(reader.declared_count(), 3);
-        let records: Vec<_> = reader.map(|r| r.unwrap()).collect();
+        let records: Vec<_> = reader
+            .flat_map(|c| c.expect("valid stream").into_records())
+            .collect();
         assert_eq!(records.as_slice(), trace.records());
     }
 
@@ -563,7 +466,8 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX >> 1] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v).unwrap();
-            let back = read_varint(&mut buf.as_slice(), "test").unwrap();
+            let back = btr_wire::varint::read_varint(&mut buf.as_slice(), "test")
+                .expect("a written varint reads back");
             assert_eq!(back, v);
         }
     }

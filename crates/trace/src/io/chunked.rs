@@ -1,12 +1,20 @@
-//! Chunked, bounded-memory trace decoding.
+//! Chunked, bounded-memory trace decoding: the chunk types and the text
+//! chunker.
 //!
 //! [`crate::io::binary::read_trace`] materialises every record before the
 //! simulator sees the first one, so memory grows linearly with trace length —
 //! untenable for the paper-scale captures (10⁸+ records) the classification
-//! analysis is meant to run over. [`ChunkedTraceReader`] decodes the same
-//! `BTRT` (or text) stream into bounded, fixed-size [`TraceChunk`]s instead:
-//! peak memory is one chunk plus the id-interning tables, independent of
-//! trace length.
+//! analysis is meant to run over. Chunked readers hand the stream over in
+//! bounded, fixed-size [`TraceChunk`]s instead: peak memory is one chunk plus
+//! the id-interning tables, independent of trace length. Consumers pull
+//! chunks through the [`ChunkStream`] contract defined here.
+//!
+//! Two readers produce chunks:
+//!
+//! * [`crate::io::fast::FastBtrtReader`] — the `BTRT` decoder;
+//! * [`ChunkedTraceReader`] — the text format
+//!   ([`ChunkedTraceReader::text`]) or any record iterator
+//!   ([`ChunkedTraceReader::from_records`]).
 //!
 //! Each chunk carries the dense interned ids of its conditional records,
 //! assigned by a persistent [`IncrementalInterner`] — so the ids seen across
@@ -16,53 +24,34 @@
 //! per-branch statistics in flat vectors and still merge bit-identically with
 //! the eager path.
 //!
-//! Any `Read` source works — a file opened via [`ChunkedTraceReader::open_btrt`]
-//! (which is `Read + Seek`, letting callers pre-position the stream with
-//! pread-style offsets before handing it over), a network socket, or an
-//! in-memory buffer; decoding itself is sequential because `BTRT` records are
-//! delta-encoded against their predecessor.
-//!
 //! ```
-//! use btr_trace::io::{binary, chunked::ChunkedTraceReader};
-//! use btr_trace::{BranchAddr, BranchRecord, Outcome, TraceBuilder};
+//! use btr_trace::ChunkedTraceReader;
 //!
-//! let mut b = TraceBuilder::new("demo");
-//! for i in 0..10u64 {
-//!     b.push(BranchRecord::conditional(
-//!         BranchAddr::new(0x4000 + (i % 3) * 4),
-//!         Outcome::from_bool(i % 2 == 0),
-//!     ));
-//! }
-//! let trace = b.build();
-//! let mut buf = Vec::new();
-//! binary::write_trace(&mut buf, &trace)?;
-//!
-//! let reader = ChunkedTraceReader::btrt(buf.as_slice(), 4)?;
+//! let text = "# benchmark: demo\nC 0x4000 T\nC 0x4004 N\nC 0x4000 T\nC 0x4008 N\nC 0x4004 T\n";
+//! let reader = ChunkedTraceReader::text(text.as_bytes(), 2);
 //! assert_eq!(reader.metadata().benchmark, "demo");
 //! let chunks: Vec<_> = reader.collect::<btr_trace::Result<_>>()?;
-//! assert_eq!(chunks.len(), 3); // 4 + 4 + 2 records
-//! assert_eq!(chunks[2].first_record(), 8);
+//! assert_eq!(chunks.len(), 3); // 2 + 2 + 1 records
+//! assert_eq!(chunks[2].first_record(), 4);
+//! assert_eq!(chunks[2].cond_ids(), &[1]); // 0x4004 was interned second
 //! # Ok::<(), btr_trace::TraceError>(())
 //! ```
 
 use crate::error::TraceError;
 use crate::interned::{IncrementalInterner, InternedRecord};
-use crate::io::binary::BinaryRecordReader;
 use crate::io::text::TextRecordReader;
 use crate::record::BranchRecord;
 use crate::trace::TraceMetadata;
 use crate::Result;
-use std::fs::File;
-use std::io::{BufReader, Read};
-use std::path::Path;
+use std::io::Read;
 
 /// Default records per chunk: 64 Ki records ≈ 2 MiB of decoded records, small
 /// enough to stay cache- and RAM-friendly, large enough to amortise per-chunk
 /// overhead at tens of millions of records per second.
 pub const DEFAULT_CHUNK_RECORDS: usize = 1 << 16;
 
-/// One bounded window of a trace produced by [`ChunkedTraceReader`] (or the
-/// block-decoding [`crate::io::fast::FastBtrtReader`]).
+/// One bounded window of a trace produced by
+/// [`crate::io::fast::FastBtrtReader`] or [`ChunkedTraceReader`].
 ///
 /// Carries both the raw records (all kinds, for profile building) and the
 /// conditional subset in **columnar** (structure-of-arrays) form: parallel
@@ -219,24 +208,14 @@ impl<S: ChunkStream> ChunkStream for &mut S {
     }
 }
 
-/// Adapts any iterator of chunk results into a (non-recycling)
-/// [`ChunkStream`], for custom chunk sources that are not readers.
-#[derive(Debug)]
-pub struct ChunkIter<I>(pub I);
-
-impl<I: Iterator<Item = Result<TraceChunk>>> ChunkStream for ChunkIter<I> {
-    fn pull(&mut self) -> Option<Result<TraceChunk>> {
-        self.0.next()
-    }
-}
-
 /// Decodes a trace stream into bounded fixed-size [`TraceChunk`]s, interning
 /// conditional-branch addresses incrementally as they first appear.
 ///
-/// Generic over any record source (`Iterator<Item = Result<BranchRecord>>`);
-/// the provided constructors cover the `BTRT` binary format and the text
-/// format, from readers or files. The iterator yields `Result<TraceChunk>`
-/// and fuses after the first error.
+/// Generic over any record source (`Iterator<Item = Result<BranchRecord>>`):
+/// [`ChunkedTraceReader::text`] covers the text format and
+/// [`ChunkedTraceReader::from_records`] any other source. `BTRT` input goes
+/// through [`crate::io::fast::FastBtrtReader`] instead. The iterator yields
+/// `Result<TraceChunk>` and fuses after the first error.
 #[derive(Debug)]
 pub struct ChunkedTraceReader<I> {
     source: I,
@@ -250,46 +229,6 @@ pub struct ChunkedTraceReader<I> {
     /// Recycled chunk buffers handed back via [`ChunkStream::recycle`]; the
     /// next chunk is decoded into them instead of fresh allocations.
     spare: Option<TraceChunk>,
-}
-
-impl<R: Read> ChunkedTraceReader<BinaryRecordReader<R>> {
-    /// Starts chunked decoding of a `BTRT` stream, reading and validating the
-    /// header eagerly.
-    ///
-    /// # Errors
-    ///
-    /// Fails on bad magic bytes, unsupported versions, or truncated headers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_records` is zero.
-    pub fn btrt(reader: R, chunk_records: usize) -> Result<Self> {
-        let source = BinaryRecordReader::new(reader)?;
-        let metadata = source.metadata().clone();
-        let declared = Some(source.declared_count());
-        Ok(ChunkedTraceReader::from_records(
-            metadata,
-            declared,
-            source,
-            chunk_records,
-        ))
-    }
-}
-
-impl ChunkedTraceReader<BinaryRecordReader<BufReader<File>>> {
-    /// Opens a `BTRT` file for chunked decoding.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file cannot be opened or its header is invalid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_records` is zero.
-    pub fn open_btrt<P: AsRef<Path>>(path: P, chunk_records: usize) -> Result<Self> {
-        let file = File::open(path)?;
-        ChunkedTraceReader::btrt(BufReader::new(file), chunk_records)
-    }
 }
 
 impl<R: Read> ChunkedTraceReader<TextRecordReader<R>> {
@@ -324,25 +263,6 @@ impl<R: Read> ChunkedTraceReader<TextRecordReader<R>> {
     }
 }
 
-impl ChunkedTraceReader<TextRecordReader<BufReader<File>>> {
-    /// Opens a text-format trace file for chunked decoding.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file cannot be opened.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_records` is zero.
-    pub fn open_text<P: AsRef<Path>>(path: P, chunk_records: usize) -> Result<Self> {
-        let file = File::open(path)?;
-        Ok(ChunkedTraceReader::text(
-            BufReader::new(file),
-            chunk_records,
-        ))
-    }
-}
-
 impl<I: Iterator<Item = Result<BranchRecord>>> ChunkedTraceReader<I> {
     /// Wraps an arbitrary record source. `declared`, when given, is checked
     /// against the number of records the source actually yields.
@@ -370,8 +290,8 @@ impl<I: Iterator<Item = Result<BranchRecord>>> ChunkedTraceReader<I> {
         }
     }
 
-    /// The metadata decoded from the stream header (for text input: from the
-    /// leading comment block — see [`ChunkedTraceReader::text`]).
+    /// The metadata given at construction (for text input: from the leading
+    /// comment block — see [`ChunkedTraceReader::text`]).
     pub fn metadata(&self) -> &TraceMetadata {
         &self.metadata
     }
@@ -382,7 +302,7 @@ impl<I: Iterator<Item = Result<BranchRecord>>> ChunkedTraceReader<I> {
         &self.source
     }
 
-    /// The record count the header declared, if the format carries one.
+    /// The record count declared at construction, if the source carries one.
     pub fn declared_count(&self) -> Option<u64> {
         self.declared
     }
@@ -489,6 +409,7 @@ impl<I: Iterator<Item = Result<BranchRecord>>> ChunkStream for ChunkedTraceReade
 mod tests {
     use super::*;
     use crate::io::binary;
+    use crate::io::fast::FastBtrtReader;
     use crate::record::{BranchAddr, BranchKind, Outcome};
     use crate::trace::{Trace, TraceBuilder};
 
@@ -526,9 +447,9 @@ mod tests {
     fn chunks_partition_the_stream_in_order() {
         let trace = mixed_trace(103);
         let buf = encode(&trace);
-        let reader = ChunkedTraceReader::btrt(buf.as_slice(), 10).unwrap();
+        let reader = FastBtrtReader::new(buf.as_slice(), 10).expect("valid header");
         assert_eq!(reader.metadata(), trace.metadata());
-        assert_eq!(reader.declared_count(), Some(103));
+        assert_eq!(reader.declared_count(), 103);
         assert_eq!(reader.chunk_records(), 10);
         let chunks: Vec<TraceChunk> = reader.map(|c| c.unwrap()).collect();
         assert_eq!(chunks.len(), 11);
@@ -548,7 +469,8 @@ mod tests {
         let buf = encode(&trace);
         let eager = trace.intern();
         for chunk_records in [1usize, 3, 7, 64, 1000] {
-            let mut reader = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
+            let mut reader =
+                FastBtrtReader::new(buf.as_slice(), chunk_records).expect("valid header");
             let mut streamed = Vec::new();
             for chunk in &mut reader {
                 streamed.extend(chunk.unwrap().conditional());
@@ -564,7 +486,7 @@ mod tests {
     fn empty_stream_yields_no_chunks() {
         let trace = TraceBuilder::new("empty").build();
         let buf = encode(&trace);
-        let mut reader = ChunkedTraceReader::btrt(buf.as_slice(), 8).unwrap();
+        let mut reader = FastBtrtReader::new(buf.as_slice(), 8).expect("valid header");
         assert!(reader.next().is_none());
         assert!(reader.next().is_none());
         assert_eq!(reader.records_read(), 0);
@@ -604,7 +526,7 @@ mod tests {
         let trace = mixed_trace(32);
         let mut buf = encode(&trace);
         buf.truncate(buf.len() - 1);
-        let mut reader = ChunkedTraceReader::btrt(buf.as_slice(), 8).unwrap();
+        let mut reader = FastBtrtReader::new(buf.as_slice(), 8).expect("valid header");
         let mut saw_error = false;
         for chunk in &mut reader {
             match chunk {
@@ -649,9 +571,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one record")]
     fn zero_chunk_size_is_rejected() {
-        let trace = mixed_trace(4);
-        let buf = encode(&trace);
-        let _ = ChunkedTraceReader::btrt(buf.as_slice(), 0);
+        let _ = ChunkedTraceReader::text("C 0x40 T\n".as_bytes(), 0);
     }
 
     #[test]
@@ -661,7 +581,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("roundtrip-{}.btrt", std::process::id()));
         std::fs::write(&path, encode(&trace)).unwrap();
-        let reader = ChunkedTraceReader::open_btrt(&path, 16).unwrap();
+        let reader = FastBtrtReader::open(&path, 16).expect("valid file");
         let all: Vec<BranchRecord> = reader.flat_map(|c| c.unwrap().into_records()).collect();
         assert_eq!(all.as_slice(), trace.records());
         std::fs::remove_file(&path).ok();

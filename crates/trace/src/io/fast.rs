@@ -1,14 +1,12 @@
-//! Slice-based block decoding of `BTRT` streams — the ingest fast path.
+//! Slice-based block decoding of `BTRT` streams — the one `BTRT` decoder.
 //!
-//! [`crate::ChunkedTraceReader`] walks a `BTRT` stream through the generic
-//! [`Read`] trait: one `read` call per byte inside the varint loops, one
-//! bounds-checked dispatch per field. That is the *correctness reference* —
-//! simple, works over any reader — but it tops out around 3×10⁷ records/s,
-//! an order of magnitude below what the SWAR replay tier can simulate, so
-//! every streaming pipeline was decode-bound.
+//! A record-at-a-time decoder over the generic [`Read`] trait pays one
+//! `read` call per byte inside the varint loops and one bounds-checked
+//! dispatch per field. That tops out around 3×10⁷ records/s, an order of
+//! magnitude below what the SWAR replay tier can simulate, so every
+//! streaming pipeline built on it was decode-bound.
 //!
-//! [`FastBtrtReader`] closes the gap by changing the unit of work from bytes
-//! to blocks:
+//! [`FastBtrtReader`] changes the unit of work from bytes to blocks:
 //!
 //! * the stream is pulled into a large reusable buffer with one `read` call
 //!   per ~256 KiB, not per byte;
@@ -24,12 +22,16 @@
 //! * chunk buffers are recycled through [`ChunkStream::recycle`], so
 //!   steady-state streaming allocates nothing per chunk.
 //!
-//! The fast path is **bit-identical** to the slow one — same records, same
-//! interned ids, and the same typed errors with the same offsets for the
-//! same malformed inputs (`tests/fast_decode_equivalence.rs` pins all three
-//! across adversarial chunkings and truncation points). The slow path
-//! remains for non-`BTRT` formats and as the reference the equivalence suite
-//! compares against.
+//! Every `BTRT` read in the workspace goes through this reader:
+//! [`crate::io::binary::read_trace`] drains it into a [`crate::Trace`],
+//! [`read_interned_btrt`] into an [`InternedTrace`], and the streaming
+//! consumers pull its chunks directly. Errors carry the record index and
+//! the stream offset (bytes consumed, header included) at which decoding
+//! failed. `tests/fast_decode_equivalence.rs` pins records, interned ids and
+//! errors bit-identical to an independent record-at-a-time reference decoder
+//! (`tests/common/reference_btrt.rs`, compiled only by tests and the
+//! `decode_fast` bench) across adversarial chunkings, every truncation point
+//! and single-byte corruption.
 //!
 //! [`MAX_RECORD_BYTES`]: super::binary::MAX_RECORD_BYTES
 
@@ -59,10 +61,10 @@ const BUF_BYTES: usize = 256 * 1024;
 const CACHE_BITS: u32 = 13;
 
 /// Decodes one record from the front of `bytes`, returning it and its
-/// encoded length. Errors use the same contexts as the `Read`-path decoder;
-/// a record running past the end of the slice is
-/// [`TraceError::UnexpectedEof`], which the caller either retries after a
-/// refill or promotes to [`TraceError::TruncatedRecord`] at true EOF.
+/// encoded length. Errors name the field being decoded (`record flags`,
+/// `address delta`, `target address`); a record running past the end of the
+/// slice is [`TraceError::UnexpectedEof`], which the caller either retries
+/// after a refill or promotes to [`TraceError::TruncatedRecord`] at true EOF.
 #[inline]
 fn decode_record(bytes: &[u8], prev_addr: u64) -> Result<(BranchRecord, usize)> {
     let Some(&flags) = bytes.first() else {
@@ -91,11 +93,11 @@ fn decode_record(bytes: &[u8], prev_addr: u64) -> Result<(BranchRecord, usize)> 
 
 /// Block-decoding `BTRT` reader yielding columnar [`TraceChunk`]s.
 ///
-/// Drop-in replacement for [`crate::ChunkedTraceReader`] over `BTRT` input:
-/// same header validation, same chunk boundaries, same interned ids, same
-/// errors (see the module docs for the equivalence contract), several times
-/// the throughput. Implements both [`Iterator`] (for drain-style consumers)
-/// and [`ChunkStream`] (for recycling consumers).
+/// Every chunk but the last holds exactly `chunk_records` records, and the
+/// interned ids match [`crate::Trace::intern`] on the eagerly-read trace
+/// (see the module docs for the equivalence contract). Implements both
+/// [`Iterator`] (for drain-style consumers) and [`ChunkStream`] (for
+/// recycling consumers).
 #[derive(Debug)]
 pub struct FastBtrtReader<R> {
     inner: R,
@@ -107,13 +109,12 @@ pub struct FastBtrtReader<R> {
     /// The underlying reader returned 0 — no more bytes will arrive.
     eof: bool,
     /// Total bytes pulled from `inner` (header included). At end-of-stream
-    /// truncation this equals the stream length, which is exactly the offset
-    /// the byte-at-a-time slow path reports.
+    /// truncation this equals the stream length: every byte was consumed
+    /// looking for the rest of the record.
     fetched: u64,
     metadata: TraceMetadata,
     declared: u64,
-    /// Records fully decoded so far (error reporting uses this, matching the
-    /// slow path's per-record counter).
+    /// Records fully decoded so far (the record index errors report).
     decoded: u64,
     /// Records in chunks actually yielded.
     records_read: u64,
@@ -136,8 +137,7 @@ impl<R: Read> FastBtrtReader<R> {
     ///
     /// # Errors
     ///
-    /// Fails on bad magic bytes, unsupported versions, or truncated headers
-    /// — identically to [`crate::ChunkedTraceReader::btrt`].
+    /// Fails on bad magic bytes, unsupported versions, or truncated headers.
     pub fn new(reader: R, chunk_records: usize) -> Result<Self> {
         let mut counting = CountingReader {
             inner: reader,
@@ -217,8 +217,8 @@ impl<R: Read> FastBtrtReader<R> {
 
     /// Slides the unconsumed tail to the buffer front and performs one
     /// successful `read` into the freed space (`ErrorKind::Interrupted` is
-    /// retried transparently, like the slow path's byte reads). A zero-byte
-    /// read marks end-of-stream.
+    /// retried transparently, as [`Read::read_exact`] does). A zero-byte read
+    /// marks end-of-stream.
     fn refill(&mut self) -> Result<()> {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.len, 0);
@@ -243,8 +243,8 @@ impl<R: Read> FastBtrtReader<R> {
     }
 
     /// Decodes records into `chunk` until it is full or the declared count
-    /// is reached. Errors carry the exact record index and stream offset the
-    /// slow path would report.
+    /// is reached. Errors carry the index of the record being decoded and the
+    /// stream offset reached.
     fn fill_chunk(&mut self, chunk: &mut TraceChunk) -> Result<()> {
         while chunk.records.len() < self.chunk_records && self.decoded < self.declared {
             let avail = self.len - self.start;
@@ -256,8 +256,8 @@ impl<R: Read> FastBtrtReader<R> {
                 continue;
             }
             if avail == 0 {
-                // Clean EOF before the declared count: the slow path fails
-                // reading the next flag byte and reports every byte consumed.
+                // Clean EOF before the declared count: the next flag byte is
+                // missing, after every byte of the stream was consumed.
                 return Err(TraceError::TruncatedRecord {
                     record: self.decoded,
                     offset: self.fetched,
@@ -322,8 +322,7 @@ impl<R: Read> Iterator for FastBtrtReader<R> {
             Err(e) => {
                 // Fuse, recycling the partial chunk's buffers: a decode
                 // error is not recoverable mid-stream (record boundaries are
-                // lost), matching the slow path's behaviour of discarding
-                // the partial chunk.
+                // lost), so the partial chunk is discarded.
                 self.finished = true;
                 self.spare = Some(chunk);
                 return Some(Err(e));
@@ -415,27 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_chunks_match_the_slow_reader_exactly() {
-        let trace = mixed_trace(1003);
-        let buf = encode(&trace);
-        for chunk_records in [1usize, 7, 64, 100_000] {
-            let slow: Vec<TraceChunk> =
-                crate::ChunkedTraceReader::btrt(buf.as_slice(), chunk_records)
-                    .expect("valid header")
-                    .map(|c| c.expect("valid stream"))
-                    .collect();
-            let mut fast_reader =
-                FastBtrtReader::new(buf.as_slice(), chunk_records).expect("valid header");
-            let fast: Vec<TraceChunk> = (&mut fast_reader)
-                .map(|c| c.expect("valid stream"))
-                .collect();
-            assert_eq!(fast, slow, "chunk size {chunk_records}");
-            assert_eq!(fast_reader.records_read(), trace.len() as u64);
-            assert_eq!(fast_reader.addrs(), trace.intern().addrs());
-        }
-    }
-
-    #[test]
     fn recycling_reuses_the_same_buffers() {
         let trace = mixed_trace(300);
         let buf = encode(&trace);
@@ -454,22 +432,6 @@ mod tests {
             reader.recycle(chunk);
         }
         assert_eq!(total, trace.len());
-    }
-
-    #[test]
-    fn truncated_streams_report_the_slow_path_error() {
-        let trace = mixed_trace(64);
-        let mut buf = encode(&trace);
-        buf.truncate(buf.len() - 3);
-        let slow_err = crate::ChunkedTraceReader::btrt(buf.as_slice(), 16)
-            .expect("valid header")
-            .find_map(|c| c.err())
-            .expect("truncated stream errors");
-        let fast_err = FastBtrtReader::new(buf.as_slice(), 16)
-            .expect("valid header")
-            .find_map(|c| c.err())
-            .expect("truncated stream errors");
-        assert_eq!(format!("{fast_err:?}"), format!("{slow_err:?}"));
     }
 
     #[test]

@@ -5,11 +5,16 @@
 //!   count, metadata) followed by per-record encodings that delta/varint
 //!   encode branch addresses and pack kind + outcome + target presence into a
 //!   single flag byte. It is the format used for large generated workloads.
+//!   The module holds the encoder and the eager [`binary::read_trace`].
+//! * [`fast`] — [`FastBtrtReader`], the one `BTRT` record decoder: block
+//!   refills, slice varints, interned columnar chunks. Every `BTRT` read —
+//!   eager, streamed, file-backed — goes through it.
 //! * [`text`] — one record per line (`C 0x00400100 T`), intended for
 //!   hand-written fixtures, debugging and interoperability with scripts.
-//! * [`chunked`] — bounded-memory decoding of either format into fixed-size
-//!   [`chunked::TraceChunk`]s with incrementally interned conditional
-//!   records, for paper-scale traces that must never be materialised whole.
+//! * [`chunked`] — the bounded-memory chunk types ([`TraceChunk`],
+//!   [`ChunkStream`]) and [`ChunkedTraceReader`], which chunks the text
+//!   format or any record iterator, for paper-scale traces that must never
+//!   be materialised whole.
 //!
 //! Both formats round-trip exactly:
 //!
@@ -39,7 +44,7 @@ pub mod chunked;
 pub mod fast;
 pub mod text;
 
-pub use binary::{read_trace as read_binary, write_trace as write_binary, BinaryRecordReader};
-pub use chunked::{ChunkIter, ChunkStream, ChunkedTraceReader, TraceChunk, DEFAULT_CHUNK_RECORDS};
+pub use binary::{read_trace as read_binary, write_trace as write_binary};
+pub use chunked::{ChunkStream, ChunkedTraceReader, TraceChunk, DEFAULT_CHUNK_RECORDS};
 pub use fast::{read_interned_btrt, FastBtrtReader};
 pub use text::{read_trace as read_text, write_trace as write_text, TextRecordReader};

@@ -1,21 +1,25 @@
-//! Equivalence suite pinning the slice-based fast `BTRT` decoder
-//! ([`FastBtrtReader`]) to the generic-`Read` reference path
-//! ([`ChunkedTraceReader`]): over arbitrary traces, chunk sizes, socket-shaped
-//! byte delivery, and — crucially — *every* truncation prefix and arbitrary
-//! single-byte corruption, both decoders must produce bit-identical records,
-//! interned ids **and errors** (same variant, same record index, same byte
-//! offset, pinned by comparing the full `Debug` rendering).
+//! Equivalence suite pinning the slice-based `BTRT` decoder
+//! ([`FastBtrtReader`]) to an independent record-at-a-time reference decoder
+//! (`common/reference_btrt.rs`, chunked by [`btr_trace::ChunkedTraceReader`]):
+//! over arbitrary traces, chunk sizes, socket-shaped byte delivery, and —
+//! crucially — *every* truncation prefix and arbitrary single-byte
+//! corruption, both decoders must produce bit-identical records, interned
+//! ids **and errors** (same variant, same record index, same byte offset,
+//! pinned by comparing the full `Debug` rendering).
 //!
-//! The fast path is an independent reimplementation of the record decode
-//! (buffered slices + inlined varints instead of `Read` calls), so this suite
-//! is what licenses routing production ingest through it.
+//! The fast reader is the only `BTRT` decoder in the library, so this suite
+//! is what licenses routing every `BTRT` read through it.
+
+#[path = "common/reference_btrt.rs"]
+mod reference_btrt;
 
 use btr_trace::io::binary;
 use btr_trace::{
-    BranchAddr, BranchKind, BranchRecord, ChunkedTraceReader, FastBtrtReader, InternedRecord,
-    Outcome, Trace, TraceMetadata,
+    BranchAddr, BranchKind, BranchRecord, FastBtrtReader, InternedRecord, Outcome, Trace,
+    TraceMetadata,
 };
 use proptest::prelude::*;
+use reference_btrt::reference_chunks;
 use std::io::Read;
 
 /// The chunk sizes every property is checked under.
@@ -80,13 +84,12 @@ impl Read for InterruptingReader<'_> {
 /// the id → address table.
 type Drained = (Vec<BranchRecord>, Vec<InternedRecord>, Vec<BranchAddr>);
 
-fn drain_slow(bytes: &[u8], chunk_records: usize) -> Drained {
-    let mut reader =
-        ChunkedTraceReader::btrt(bytes, chunk_records).expect("slow header must decode");
+fn drain_reference(bytes: &[u8], chunk_records: usize) -> Drained {
+    let mut reader = reference_chunks(bytes, chunk_records).expect("reference header must decode");
     let mut records = Vec::new();
     let mut conditional = Vec::new();
     for chunk in &mut reader {
-        let chunk = chunk.expect("well-formed stream must decode (slow)");
+        let chunk = chunk.expect("well-formed stream must decode (reference)");
         conditional.extend(chunk.conditional());
         records.extend(chunk.into_records());
     }
@@ -115,8 +118,8 @@ fn drain_fast<R: Read>(source: R, chunk_records: usize) -> Drained {
 /// variant and every field (record index, byte offset, context) are compared.
 type DecodeOutcome = (Vec<BranchRecord>, Option<String>);
 
-fn outcome_slow(bytes: &[u8], chunk_records: usize) -> DecodeOutcome {
-    let mut reader = match ChunkedTraceReader::btrt(bytes, chunk_records) {
+fn outcome_reference(bytes: &[u8], chunk_records: usize) -> DecodeOutcome {
+    let mut reader = match reference_chunks(bytes, chunk_records) {
         Ok(reader) => reader,
         Err(e) => return (Vec::new(), Some(format!("{e:?}"))),
     };
@@ -173,7 +176,7 @@ fn adversarial_trace(len: u64) -> Trace {
         records.push(r);
     }
     Trace::from_records(
-        TraceMetadata::named("fast-vs-slow")
+        TraceMetadata::named("fast-vs-reference")
             .with_input_set("equivalence")
             .with_seed(0xFA57),
         records,
@@ -235,9 +238,9 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 fn fast_matches_slow_on_the_adversarial_trace_at_every_chunk_size() {
     let buf = encode(&adversarial_trace(517));
     for chunk_records in CHUNK_SIZES {
-        let slow = drain_slow(&buf, chunk_records);
+        let reference = drain_reference(&buf, chunk_records);
         let fast = drain_fast(buf.as_slice(), chunk_records);
-        assert_eq!(fast, slow, "chunk size {chunk_records} diverged");
+        assert_eq!(fast, reference, "chunk size {chunk_records} diverged");
     }
 }
 
@@ -251,7 +254,11 @@ fn socket_shaped_fast_reads_are_bit_identical() {
         let interrupted = drain_fast(InterruptingReader::new(&buf, max), 16);
         assert_eq!(interrupted, oneshot, "interrupted max {max} diverged");
     }
-    assert_eq!(oneshot, drain_slow(&buf, 16), "fast diverged from slow");
+    assert_eq!(
+        oneshot,
+        drain_reference(&buf, 16),
+        "fast diverged from the reference"
+    );
 }
 
 #[test]
@@ -273,8 +280,8 @@ fn interrupted_truncated_streams_still_surface_the_typed_error() {
 // ---------------------------------------------------------------------------
 // Error equivalence: truncation at EVERY byte boundary — which covers every
 // field boundary of every record (flags, delta varint bytes, target varint
-// bytes) and every header field — must produce the same error as the slow
-// path: same variant, same record index, same byte offset.
+// bytes) and every header field — must produce the same error as the
+// reference: same variant, same record index, same byte offset.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -283,10 +290,10 @@ fn every_truncation_prefix_agrees_on_error_type_and_offset() {
     for cut in 0..buf.len() {
         let prefix = &buf[..cut];
         for chunk_records in [1usize, 7] {
-            let slow = outcome_slow(prefix, chunk_records);
+            let reference = outcome_reference(prefix, chunk_records);
             let fast = outcome_fast(prefix, chunk_records);
             assert_eq!(
-                fast, slow,
+                fast, reference,
                 "truncation at byte {cut} (chunk size {chunk_records}) diverged"
             );
         }
@@ -306,9 +313,9 @@ fn corrupted_flag_bytes_agree_on_unknown_kind_errors() {
     for bad_kind in [5u8, 6, 7] {
         let mut corrupt = clean.clone();
         corrupt[header_len] = bad_kind;
-        let slow = outcome_slow(&corrupt, 4);
+        let reference = outcome_reference(&corrupt, 4);
         let fast = outcome_fast(&corrupt, 4);
-        assert_eq!(fast, slow, "kind code {bad_kind} diverged");
+        assert_eq!(fast, reference, "kind code {bad_kind} diverged");
         let (_, err) = fast;
         assert!(
             err.expect("reserved kind must error")
@@ -328,9 +335,9 @@ proptest! {
         let buf = encode(&trace);
         let eager = trace.intern();
         for chunk_records in CHUNK_SIZES {
-            let slow = drain_slow(&buf, chunk_records);
+            let reference = drain_reference(&buf, chunk_records);
             let fast = drain_fast(buf.as_slice(), chunk_records);
-            prop_assert_eq!(&fast, &slow, "chunk size {}", chunk_records);
+            prop_assert_eq!(&fast, &reference, "chunk size {}", chunk_records);
             prop_assert_eq!(fast.0.as_slice(), trace.records());
             prop_assert_eq!(fast.1.as_slice(), eager.records());
             prop_assert_eq!(fast.2.as_slice(), eager.addrs());
@@ -344,11 +351,11 @@ proptest! {
         chunk_records in 1usize..50,
     ) {
         let buf = encode(&trace);
-        let slow = drain_slow(&buf, chunk_records);
+        let reference = drain_reference(&buf, chunk_records);
         let trickled = drain_fast(TrickleReader { data: &buf, max }, chunk_records);
-        prop_assert_eq!(&trickled, &slow);
+        prop_assert_eq!(&trickled, &reference);
         let interrupted = drain_fast(InterruptingReader::new(&buf, max), chunk_records);
-        prop_assert_eq!(&interrupted, &slow);
+        prop_assert_eq!(&interrupted, &reference);
     }
 
     #[test]
@@ -360,9 +367,9 @@ proptest! {
         let buf = encode(&trace);
         let cut = cut_seed % (buf.len() + 1);
         let prefix = &buf[..cut];
-        let slow = outcome_slow(prefix, chunk_records);
+        let reference = outcome_reference(prefix, chunk_records);
         let fast = outcome_fast(prefix, chunk_records);
-        prop_assert_eq!(fast, slow, "truncation at byte {} diverged", cut);
+        prop_assert_eq!(fast, reference, "truncation at byte {} diverged", cut);
     }
 
     #[test]
@@ -375,8 +382,8 @@ proptest! {
         let mut buf = encode(&trace);
         let position = position_seed % buf.len();
         buf[position] = byte;
-        let slow = outcome_slow(&buf, chunk_records);
+        let reference = outcome_reference(&buf, chunk_records);
         let fast = outcome_fast(&buf, chunk_records);
-        prop_assert_eq!(fast, slow, "corruption at byte {} diverged", position);
+        prop_assert_eq!(fast, reference, "corruption at byte {} diverged", position);
     }
 }

@@ -5,14 +5,17 @@
 //! any drift in the Rust encoder or decoder — header layout, flag packing,
 //! zig-zag/varint encoding, delta wraparound — breaks these tests without
 //! relying on proptest luck. Each fixture is decoded eagerly, decoded
-//! chunked, round-tripped through the text format, and re-encoded
-//! byte-identically (the encoder is canonical: minimal varints, one layout
-//! per trace).
+//! chunked by both the production decoder and the independent reference
+//! decoder (`common/reference_btrt.rs`), round-tripped through the text
+//! format, and re-encoded byte-identically (the encoder is canonical:
+//! minimal varints, one layout per trace).
+
+#[path = "common/reference_btrt.rs"]
+mod reference_btrt;
 
 use btr_trace::io::{binary, text};
-use btr_trace::{
-    BranchAddr, BranchKind, BranchRecord, ChunkedTraceReader, FastBtrtReader, Outcome, Trace,
-};
+use btr_trace::{BranchAddr, BranchKind, BranchRecord, FastBtrtReader, Outcome, Trace};
+use reference_btrt::reference_chunks;
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -33,12 +36,12 @@ fn check_fixture(bytes: &[u8], expected: &[BranchRecord]) -> Trace {
     assert_eq!(trace.records(), expected);
 
     // Chunked decode at several sizes, including degenerate ones — through
-    // both the generic-`Read` reference path and the slice fast path.
+    // both the record-at-a-time reference decoder and the production one.
     for chunk_records in [1usize, 3, 1024] {
-        let reader = ChunkedTraceReader::btrt(bytes, chunk_records).unwrap();
+        let reader = reference_chunks(bytes, chunk_records).expect("fixture header must decode");
         assert_eq!(reader.metadata(), trace.metadata());
         let streamed: Vec<BranchRecord> = reader
-            .flat_map(|c| c.expect("chunked decode must succeed").into_records())
+            .flat_map(|c| c.expect("reference decode must succeed").into_records())
             .collect();
         assert_eq!(streamed.as_slice(), expected);
 
@@ -77,7 +80,7 @@ fn empty_body_fixture() {
     assert_eq!(trace.metadata().input_set, "none");
     assert_eq!(trace.metadata().seed, Some(7));
     // An empty body yields zero chunks, not one empty chunk — on both paths.
-    let mut reader = ChunkedTraceReader::btrt(bytes.as_slice(), 8).unwrap();
+    let mut reader = reference_chunks(bytes.as_slice(), 8).expect("fixture header must decode");
     assert!(reader.next().is_none());
     let mut fast = FastBtrtReader::new(bytes.as_slice(), 8).unwrap();
     assert!(fast.next().is_none());

@@ -1,15 +1,21 @@
-//! Equivalence suite pinning the chunked reader to the eager readers: over
+//! Equivalence suite pinning the chunked readers to the eager readers: over
 //! arbitrary traces and chunk sizes — degenerate (1), prime (7), typical
 //! (4096) and larger-than-the-trace — the concatenated chunks must be
 //! bit-identical to `read_binary` / `read_text`, and the incrementally
-//! interned ids must match `Trace::intern` exactly.
+//! interned ids must match `Trace::intern` exactly. `BTRT` streams are
+//! decoded by [`FastBtrtReader`] and checked against the independent
+//! record-at-a-time reference decoder in `common/reference_btrt.rs`.
+
+#[path = "common/reference_btrt.rs"]
+mod reference_btrt;
 
 use btr_trace::io::{binary, text};
 use btr_trace::{
     BranchAddr, BranchKind, BranchRecord, ChunkedTraceReader, FastBtrtReader, InternedRecord,
-    Outcome, Trace, TraceMetadata,
+    Outcome, Trace, TraceChunk, TraceMetadata,
 };
 use proptest::prelude::*;
+use reference_btrt::{reference_chunks, ReferenceBtrtReader};
 
 /// The chunk sizes every property is checked under.
 const CHUNK_SIZES: [usize; 4] = [1, 7, 4096, 100_000];
@@ -55,13 +61,17 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
         })
 }
 
-/// Drains a chunked reader, returning (records, interned conditionals, addrs).
-fn drain<I: Iterator<Item = btr_trace::Result<BranchRecord>>>(
-    mut reader: ChunkedTraceReader<I>,
-) -> (Vec<BranchRecord>, Vec<InternedRecord>, Vec<BranchAddr>) {
+/// The record/interning state a drain produced, for whole-sale comparison:
+/// (records, interned conditionals, addrs).
+type Drained = (Vec<BranchRecord>, Vec<InternedRecord>, Vec<BranchAddr>);
+
+/// Drains a chunk iterator, checking chunk indices and positions on the way.
+fn drain_chunks(
+    chunks: impl Iterator<Item = btr_trace::Result<TraceChunk>>,
+) -> (Vec<BranchRecord>, Vec<InternedRecord>) {
     let mut records = Vec::new();
     let mut conditional = Vec::new();
-    for (expected_index, chunk) in (&mut reader).enumerate() {
+    for (expected_index, chunk) in chunks.enumerate() {
         let chunk = chunk.expect("well-formed stream must decode");
         assert_eq!(chunk.index(), expected_index);
         assert_eq!(chunk.first_record(), records.len() as u64);
@@ -69,8 +79,15 @@ fn drain<I: Iterator<Item = btr_trace::Result<BranchRecord>>>(
         conditional.extend(chunk.conditional());
         records.extend(chunk.into_records());
     }
-    let addrs = reader.addrs().to_vec();
-    (records, conditional, addrs)
+    (records, conditional)
+}
+
+/// Drains a chunked reader (text or reference).
+fn drain<I: Iterator<Item = btr_trace::Result<BranchRecord>>>(
+    mut reader: ChunkedTraceReader<I>,
+) -> Drained {
+    let (records, conditional) = drain_chunks(&mut reader);
+    (records, conditional, reader.addrs().to_vec())
 }
 
 // ---------------------------------------------------------------------------
@@ -153,26 +170,16 @@ impl Read for InterruptingReader<'_> {
     }
 }
 
-/// The record/interning state a drain produced, for whole-sale comparison.
-type Drained = (Vec<BranchRecord>, Vec<InternedRecord>, Vec<BranchAddr>);
-
+/// Drains a `BTRT` stream through the production decoder.
 fn drain_btrt<R: Read>(reader: R, chunk_records: usize) -> Drained {
-    drain(ChunkedTraceReader::btrt(reader, chunk_records).expect("header must decode"))
+    let mut reader = FastBtrtReader::new(reader, chunk_records).expect("header must decode");
+    let (records, conditional) = drain_chunks(&mut reader);
+    (records, conditional, reader.addrs().to_vec())
 }
 
-/// Drains the slice fast path the same way, so every property below can pin
-/// it against the generic-`Read` reference in passing.
-fn drain_fast<R: Read>(reader: R, chunk_records: usize) -> Drained {
-    let mut reader = FastBtrtReader::new(reader, chunk_records).expect("header must decode");
-    let mut records = Vec::new();
-    let mut conditional = Vec::new();
-    for chunk in &mut reader {
-        let chunk = chunk.expect("well-formed stream must decode");
-        conditional.extend(chunk.conditional());
-        records.extend(chunk.into_records());
-    }
-    let addrs = reader.addrs().to_vec();
-    (records, conditional, addrs)
+/// Drains a `BTRT` stream through the reference decoder — the oracle.
+fn drain_reference(bytes: &[u8], chunk_records: usize) -> Drained {
+    drain(reference_chunks(bytes, chunk_records).expect("header must decode"))
 }
 
 /// A characteristic trace for the deterministic adversarial tests: mixes
@@ -208,7 +215,7 @@ fn one_byte_reads_yield_bit_identical_chunks() {
     let trace = adversarial_trace();
     let mut buf = Vec::new();
     binary::write_trace(&mut buf, &trace).unwrap();
-    let oneshot = drain_btrt(buf.as_slice(), 16);
+    let oneshot = drain_reference(&buf, 16);
     for max in [1usize, 2, 3, 5] {
         let trickled = drain_btrt(TrickleReader { data: &buf, max }, 16);
         assert_eq!(trickled, oneshot, "max {max} bytes per read diverged");
@@ -220,14 +227,13 @@ fn reads_split_at_header_and_record_boundaries_are_bit_identical() {
     let trace = adversarial_trace();
     let mut buf = Vec::new();
     binary::write_trace(&mut buf, &trace).unwrap();
-    let oneshot = drain_btrt(buf.as_slice(), 16);
+    let oneshot = drain_reference(&buf, 16);
     // Recover the exact header and per-record byte boundaries from a clean
-    // decode pass.
-    let mut boundary_probe =
-        btr_trace::io::binary::BinaryRecordReader::new(buf.as_slice()).unwrap();
+    // reference decode pass.
+    let mut boundary_probe = ReferenceBtrtReader::new(buf.as_slice()).expect("header decodes");
     let mut splits = vec![boundary_probe.byte_offset() as usize];
     while let Some(record) = boundary_probe.next() {
-        record.unwrap();
+        record.expect("well-formed stream must decode");
         splits.push(boundary_probe.byte_offset() as usize);
     }
     // Every read stops at the next header/record boundary…
@@ -258,7 +264,7 @@ fn interrupted_mid_stream_reads_are_bit_identical() {
     let trace = adversarial_trace();
     let mut buf = Vec::new();
     binary::write_trace(&mut buf, &trace).unwrap();
-    let oneshot = drain_btrt(buf.as_slice(), 16);
+    let oneshot = drain_reference(&buf, 16);
     for max in [1usize, 2, 7] {
         let interrupted = drain_btrt(InterruptingReader::new(&buf, max), 16);
         assert_eq!(interrupted, oneshot, "interrupted max {max} diverged");
@@ -283,7 +289,7 @@ fn truncated_interrupted_streams_still_surface_the_typed_error() {
     binary::write_trace(&mut buf, &trace).unwrap();
     buf.truncate(buf.len() - 1);
     let mut reader =
-        ChunkedTraceReader::btrt(InterruptingReader::new(&buf, 1), 16).expect("header decodes");
+        FastBtrtReader::new(InterruptingReader::new(&buf, 1), 16).expect("header decodes");
     let err = (&mut reader)
         .filter_map(|c| c.err())
         .next()
@@ -302,15 +308,11 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         binary::write_trace(&mut buf, &trace).unwrap();
-        let oneshot = drain_btrt(buf.as_slice(), 7);
+        let oneshot = drain_reference(&buf, 7);
         let trickled = drain_btrt(TrickleReader { data: &buf, max }, 7);
         prop_assert_eq!(&trickled, &oneshot);
         let interrupted = drain_btrt(InterruptingReader::new(&buf, max), 7);
         prop_assert_eq!(&interrupted, &oneshot);
-        let fast_trickled = drain_fast(TrickleReader { data: &buf, max }, 7);
-        prop_assert_eq!(&fast_trickled, &oneshot);
-        let fast_interrupted = drain_fast(InterruptingReader::new(&buf, max), 7);
-        prop_assert_eq!(&fast_interrupted, &oneshot);
     }
 }
 
@@ -322,13 +324,15 @@ proptest! {
         let eager = binary::read_trace(&mut buf.as_slice()).unwrap();
         prop_assert_eq!(eager.records(), trace.records());
         for chunk_records in CHUNK_SIZES {
-            let reader = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
+            let reader = FastBtrtReader::new(buf.as_slice(), chunk_records).expect("header must decode");
             prop_assert_eq!(reader.metadata(), eager.metadata());
-            prop_assert_eq!(reader.declared_count(), Some(trace.len() as u64));
-            let (records, _, _) = drain(reader);
+            prop_assert_eq!(reader.declared_count(), trace.len() as u64);
+            let (records, _) = drain_chunks(reader);
             prop_assert_eq!(records.as_slice(), eager.records(), "chunk size {}", chunk_records);
-            let (fast_records, _, _) = drain_fast(buf.as_slice(), chunk_records);
-            prop_assert_eq!(fast_records.as_slice(), eager.records(), "fast, chunk size {}", chunk_records);
+            let reference = reference_chunks(buf.as_slice(), chunk_records).expect("header must decode");
+            prop_assert_eq!(reference.metadata(), eager.metadata());
+            let (reference_records, _, _) = drain(reference);
+            prop_assert_eq!(reference_records.as_slice(), eager.records(), "reference, chunk size {}", chunk_records);
         }
     }
 
@@ -338,13 +342,12 @@ proptest! {
         binary::write_trace(&mut buf, &trace).unwrap();
         let eager = trace.intern();
         for chunk_records in CHUNK_SIZES {
-            let reader = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
-            let (_, conditional, addrs) = drain(reader);
+            let (_, conditional, addrs) = drain_btrt(buf.as_slice(), chunk_records);
             prop_assert_eq!(conditional.as_slice(), eager.records(), "chunk size {}", chunk_records);
             prop_assert_eq!(addrs.as_slice(), eager.addrs(), "chunk size {}", chunk_records);
-            let (_, fast_conditional, fast_addrs) = drain_fast(buf.as_slice(), chunk_records);
-            prop_assert_eq!(fast_conditional.as_slice(), eager.records(), "fast, chunk size {}", chunk_records);
-            prop_assert_eq!(fast_addrs.as_slice(), eager.addrs(), "fast, chunk size {}", chunk_records);
+            let (_, ref_conditional, ref_addrs) = drain_reference(&buf, chunk_records);
+            prop_assert_eq!(ref_conditional.as_slice(), eager.records(), "reference, chunk size {}", chunk_records);
+            prop_assert_eq!(ref_addrs.as_slice(), eager.addrs(), "reference, chunk size {}", chunk_records);
         }
     }
 
@@ -370,8 +373,8 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         binary::write_trace(&mut buf, &trace).unwrap();
-        let reader = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
-        let chunks: Vec<_> = reader.map(|c| c.unwrap()).collect();
+        let reader = FastBtrtReader::new(buf.as_slice(), chunk_records).expect("header must decode");
+        let chunks: Vec<_> = reader.map(|c| c.expect("well-formed stream must decode")).collect();
         // Every chunk except the last is exactly full.
         for chunk in chunks.iter().rev().skip(1) {
             prop_assert_eq!(chunk.len(), chunk_records);

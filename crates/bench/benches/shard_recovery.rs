@@ -88,8 +88,9 @@ fn bench_shard_recovery(c: &mut Criterion) {
             merged.history_lengths().len()
         })
     });
-    // Whole-trace units ride the fused sweep path, so this variant isolates
-    // checkpoint/manifest cost from the windowed per-history dispatch cost.
+    // Every unit sweeps its history group in one pass; whole-trace units
+    // just have no warm-only prefix, so this variant prices what splitting
+    // each trace into windows adds (half the units, no prefix replays).
     group.bench_function("sharded/clean_single_window", |b| {
         let spec = SweepSpec {
             window_count: 1,

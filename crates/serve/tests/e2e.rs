@@ -387,6 +387,15 @@ fn concurrent_uploads_all_complete_within_the_admission_bound() {
     );
 }
 
+/// Polls the server's in-process metrics until `done` holds.
+fn wait_until(handle: &ServerHandle, what: &str, done: impl Fn(&MetricsSnapshot) -> bool) {
+    let t0 = std::time::Instant::now();
+    while !done(&handle.metrics()) {
+        assert!(t0.elapsed() < TIMEOUT, "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn concurrent_identical_digests_coalesce_onto_one_analysis() {
     let (addr, handle) = spawn(|config| {
@@ -402,31 +411,31 @@ fn concurrent_identical_digests_coalesce_onto_one_analysis() {
         .expect("analysis responses carry a digest")
         .to_string();
 
-    // Leader: the real upload, presenting its digest so the computation is
-    // registered in flight; slow enough for followers to catch it.
-    let leader = {
-        let addr = addr.clone();
-        let body = body.clone();
-        let digest = digest.clone();
-        std::thread::spawn(move || {
-            send(
-                &addr,
-                &ClientRequest::post("/classify", body).with_header("X-Btr-Digest", &digest),
-                TIMEOUT,
+    // Leader: the real upload on a raw socket, presenting its digest so the
+    // computation is registered in flight. The body's last bytes are held
+    // back, so the leader's analysis blocks reading its upload and stays in
+    // flight for as long as the test needs.
+    let (sent, held_back) = body.split_at(body.len() - 64);
+    let mut leader = TcpStream::connect(&addr).expect("leader connects");
+    leader
+        .set_read_timeout(Some(TIMEOUT))
+        .expect("read timeout");
+    leader
+        .write_all(
+            format!(
+                "POST /classify HTTP/1.1\r\nHost: btrd\r\nContent-Length: {}\r\n\
+                 X-Btr-Digest: {digest}\r\nConnection: close\r\n\r\n",
+                body.len()
             )
-            .expect("leader request must complete")
-        })
-    };
-    // Deterministic rendezvous: wait until the leader's analysis is
-    // actually in flight before releasing the followers.
-    let t0 = std::time::Instant::now();
-    while handle.metrics().active_analyses == 0 {
-        assert!(
-            t0.elapsed() < TIMEOUT,
-            "leader never entered the admission gate"
-        );
-        std::thread::yield_now();
-    }
+            .as_bytes(),
+        )
+        .and_then(|()| leader.write_all(sent))
+        .expect("leader sends all but the body's tail");
+    // The gauge rises once the leader holds the flight and its admission
+    // slot, and cannot fall while the tail is held back.
+    wait_until(&handle, "leader never entered the admission gate", |m| {
+        m.active_analyses == 1
+    });
     let followers: Vec<ClientResponse> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -443,12 +452,23 @@ fn concurrent_identical_digests_coalesce_onto_one_analysis() {
                 })
             })
             .collect();
+        // Every follower has connected (priming + leader + 4). One that
+        // reaches the flight only after the leader lands is answered from
+        // the cache instead, which the assertions below accept too.
+        wait_until(&handle, "followers never connected", |m| m.requests == 6);
+        leader
+            .write_all(held_back)
+            .expect("leader sends the body's tail");
         handles
             .into_iter()
             .map(|h| h.join().expect("no follower panics"))
             .collect()
     });
-    let leader = leader.join().expect("leader thread joins");
+    let mut raw = Vec::new();
+    leader
+        .read_to_end(&mut raw)
+        .expect("leader reads its response");
+    let leader = parse_response(&raw).expect("leader response parses");
     assert_eq!(leader.status, 200);
     for follower in &followers {
         assert_eq!(follower.status, 200);

@@ -56,7 +56,6 @@ pub use fault::{FaultKind, FaultPlan, FAULT_ENV};
 pub use manifest::{Manifest, OutDir, MANIFEST_FORMAT};
 pub use unit::{SweepSpec, UnitSpec};
 
-use btr_sim::engine::SimEngine;
 use btr_sim::sweep::{HistorySweep, SweepResult};
 
 /// Runs the sequential reference for a spec: every benchmark trace through
@@ -64,16 +63,20 @@ use btr_sim::sweep::{HistorySweep, SweepResult};
 /// runner's merged result must match this bit for bit.
 ///
 /// When the spec names a [`SweepSpec::trace_file`], that file is decoded
-/// with the same reader the units use and swept in one fused pass, instead
-/// of regenerating the (label-only) benchmark.
+/// with the same reader the units use and swept as one whole-trace window
+/// through the units' own execution path, instead of regenerating the
+/// (label-only) benchmark.
 pub fn run_sequential(spec: &SweepSpec) -> Result<SweepResult> {
     spec.validate()?;
     if let Some(path) = &spec.trace_file {
         let interned = unit::read_trace_file(path)?;
-        let mut fused = spec.family.fused_paper(&spec.histories);
-        let results = SimEngine::new().run_fused(&interned, &mut fused);
-        let parts = spec.histories.iter().copied().zip(results).collect();
-        return Ok(SweepResult::from_parts(spec.family, parts));
+        return Ok(unit::sweep_window(
+            interned,
+            spec.family,
+            &spec.histories,
+            0,
+            1,
+        ));
     }
     let traces: Vec<_> = spec
         .benchmarks

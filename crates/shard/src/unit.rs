@@ -9,10 +9,17 @@
 //! a shared `BTRT` trace file ([`SweepSpec::trace_file`]); units then decode
 //! it through the columnar [`btr_trace::FastBtrtReader`] fast path instead
 //! of regenerating, which is how captured (non-synthetic) traces are swept.
+//!
+//! Every unit, whatever its window count, executes the same way: one SWAR
+//! batch pass ([`SimEngine::run_batch`]) sweeps the unit's whole history
+//! group over the trace cut at the window's end, with the records before
+//! the window replayed as a warm-only prefix (trained, never scored). The
+//! predictor therefore enters the window in exactly its sequential state,
+//! so merged window partials equal the sequential run bit for bit.
 
 use crate::error::{Result, ShardError};
-use btr_sim::config::{PredictorFamily, PredictorKind, WarmupWindow};
-use btr_sim::engine::{result_from_dense, RunResult, SimEngine};
+use btr_sim::config::PredictorFamily;
+use btr_sim::engine::{BatchLane, SimEngine};
 use btr_sim::sweep::SweepResult;
 use btr_trace::{read_interned_btrt, InternedTrace};
 use btr_wire::{MapBuilder, Value, Wire, WireError};
@@ -34,8 +41,9 @@ pub struct SweepSpec {
     /// size and each group is swept by its own fused predictor pass.
     pub history_group: usize,
     /// Trace windows per benchmark: each trace is split into this many
-    /// contiguous windows simulated independently (with full-prefix warmup,
-    /// so merged windows stay bit-identical to the sequential run).
+    /// contiguous windows simulated independently (each after a warm-only
+    /// replay of the records before it, so merged windows stay
+    /// bit-identical to the sequential run).
     pub window_count: u32,
     /// Path to a shared `BTRT` trace file to sweep instead of regenerating
     /// the benchmark workload. Requires exactly one benchmark (the label the
@@ -208,44 +216,23 @@ impl UnitSpec {
     /// this unit's history group over its window, and return the (unlabeled)
     /// partial.
     ///
-    /// With one window the whole trace runs on the fused sweep path — the
-    /// same path the sequential [`btr_sim::sweep::HistorySweep::run`]
-    /// reference uses. With several, each history simulates its window via
-    /// [`SimEngine::run_window_dispatch`] with [`WarmupWindow::FullPrefix`],
-    /// whose merged partials are pinned bit-identical to the sequential run.
-    /// Either way, merging every unit of a sweep reproduces the sequential
-    /// result bit for bit (pinned by `tests/fault_convergence.rs`).
+    /// One path serves every window count (see [`sweep_window`]): a single
+    /// SWAR pass over the trace cut at the window's end, with the records
+    /// before the window as a warm-only prefix. Merging every unit of a
+    /// sweep reproduces the sequential result bit for bit (pinned by
+    /// `tests/fault_convergence.rs` and `tests/window_units.rs`).
     pub fn execute(&self) -> Result<SweepResult> {
         if self.histories.is_empty() {
             return Err(ShardError::invalid_spec("unit has no history lengths"));
         }
         let interned = self.load_trace()?;
-        let engine = SimEngine::new();
-        if self.window_count <= 1 {
-            let mut fused = self.family.fused_paper(&self.histories);
-            let results = engine.run_fused(&interned, &mut fused);
-            let parts = self.histories.iter().copied().zip(results).collect();
-            return Ok(SweepResult::from_parts(self.family, parts));
-        }
-        let len = interned.records().len();
-        let (start, end) = UnitSpec::window_bounds(len, self.window_index, self.window_count);
-        let mut parts: Vec<(u32, RunResult)> = Vec::with_capacity(self.histories.len());
-        for &history in &self.histories {
-            let kind = match self.family {
-                PredictorFamily::PAs => PredictorKind::PAsPaper { history },
-                PredictorFamily::GAs => PredictorKind::GAsPaper { history },
-            };
-            let mut predictor = kind.build_dispatch();
-            let dense = engine.run_window_dispatch(
-                &interned,
-                &mut predictor,
-                start,
-                end,
-                WarmupWindow::FullPrefix,
-            );
-            parts.push((history, result_from_dense(dense, interned.addrs())));
-        }
-        Ok(SweepResult::from_parts(self.family, parts))
+        Ok(sweep_window(
+            interned,
+            self.family,
+            &self.histories,
+            self.window_index,
+            self.window_count,
+        ))
     }
 
     /// The unit's interned trace: decoded from [`UnitSpec::trace_file`] via
@@ -258,6 +245,33 @@ impl UnitSpec {
             None => Ok(self.benchmark.generate(&self.config).intern()),
         }
     }
+}
+
+/// Sweeps `histories` of `family` over window `index` of `count` of
+/// `interned` in one pass: the trace is cut at the window's end
+/// ([`InternedTrace::truncate`]) and run as a single [`BatchLane`] with the
+/// window's start as the engine warm-up, so `[0, start)` trains every
+/// history slot without scoring and `[start, end)` is scored.
+/// [`SimEngine::run_batch`] takes the SWAR tier when the trace fits it and
+/// the bit-identical scalar fused replay otherwise.
+pub(crate) fn sweep_window(
+    mut interned: InternedTrace,
+    family: PredictorFamily,
+    histories: &[u32],
+    index: u32,
+    count: u32,
+) -> SweepResult {
+    let (start, end) = UnitSpec::window_bounds(interned.len(), index, count);
+    interned.truncate(end);
+    let lane = BatchLane::new(0, family.fused_paper(histories));
+    // One lane in, one lane's per-history results out.
+    let results = SimEngine::new()
+        .with_warmup(start as u64)
+        .run_batch(&[&interned], vec![lane])
+        .into_iter()
+        .flatten();
+    let parts = histories.iter().copied().zip(results).collect();
+    SweepResult::from_parts(family, parts)
 }
 
 /// Decodes a captured `BTRT` trace file through the columnar fast path —

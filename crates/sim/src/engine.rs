@@ -275,8 +275,8 @@ impl FusedMissAccumulator {
 /// overall statistics as the table's column sums (exact, since every scored
 /// record lands in the table) and resolving ids through `addrs`. Shared by
 /// every dense-table path (interned, streamed, windowed-merge) so they cannot
-/// drift apart; public so external window schedulers (the `btr-shard` worker)
-/// fold their [`SimEngine::run_window`] partials through the same code.
+/// drift apart; public so callers outside this crate fold their
+/// [`SimEngine::run_window`] partials through the same code.
 pub fn result_from_dense(dense: DenseMissTable, addrs: &[BranchAddr]) -> RunResult {
     let mut overall = PredictionStats::new();
     for stats in dense.stats() {
@@ -834,6 +834,16 @@ impl SimEngine {
     /// so it composes with windowing exactly as in the sequential paths.
     ///
     /// Out-of-range bounds are clamped to the trace length.
+    ///
+    /// Remaining callers, all through [`SimEngine::run_window_dispatch`]:
+    /// [`crate::runner::SuiteRunner::run_trace_windowed`] (which also needs
+    /// the approximate [`WarmupWindow::Records`] mode), the per-history
+    /// oracle `btr-shard`'s `tests/window_units.rs` pins its units against,
+    /// and `perfbench`'s traced shard replay. A sweep of several histories
+    /// over one window is cheaper as one [`SimEngine::run_batch`] lane with
+    /// the window start as [`SimEngine::with_warmup`] over the trace cut at
+    /// the window end ([`InternedTrace::truncate`]), which is how `btr-shard`
+    /// units run.
     pub fn run_window<P: BranchPredictor>(
         &self,
         trace: &InternedTrace,

@@ -197,6 +197,36 @@ impl InternedTrace {
         &self.addrs
     }
 
+    /// Keeps the first `len` records (all of them if `len` exceeds
+    /// [`InternedTrace::len`]) and only the ids they use, so the result
+    /// equals interning that prefix. Ids are assigned in first-appearance
+    /// order, so a prefix uses exactly the ids up to its largest one.
+    ///
+    /// ```
+    /// use btr_trace::{BranchAddr, BranchRecord, Outcome, TraceBuilder};
+    /// let mut b = TraceBuilder::new("t");
+    /// for addr in [0x40, 0x80, 0x40, 0xc0] {
+    ///     b.push(BranchRecord::conditional(BranchAddr::new(addr), Outcome::Taken));
+    /// }
+    /// let mut interned = b.build().intern();
+    /// interned.truncate(3);
+    /// assert_eq!(interned.len(), 3);
+    /// assert_eq!(interned.static_count(), 2); // 0xc0 only appeared later
+    /// ```
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.records.len() {
+            return;
+        }
+        self.records.truncate(len);
+        let used = self
+            .records
+            .iter()
+            .map(|r| r.id as usize + 1)
+            .max()
+            .unwrap_or(0);
+        self.addrs.truncate(used);
+    }
+
     /// The address a dense id stands for.
     ///
     /// # Panics

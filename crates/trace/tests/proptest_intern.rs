@@ -1,6 +1,7 @@
 //! Property-based tests for address interning and the cached conditional
 //! subset: `intern()` must round-trip addresses and preserve record order for
-//! any record mix.
+//! any record mix, and `InternedTrace::truncate(n)` must equal interning the
+//! first `n` conditional records.
 
 use btr_trace::{BranchAddr, BranchKind, BranchRecord, Outcome, Trace, TraceMetadata};
 use proptest::prelude::*;
@@ -78,5 +79,25 @@ proptest! {
             }
         }
         prop_assert_eq!(distinct as usize, interned.static_count());
+    }
+
+    #[test]
+    fn truncate_equals_interning_the_prefix(trace in arb_trace(), cut_seed in any::<usize>()) {
+        let conditional = trace.conditional_records();
+        let len = conditional.len();
+        let cuts = [0, 1, len.saturating_sub(1), len, len + 5, cut_seed % (len + 1)];
+        for n in cuts {
+            let mut truncated = trace.intern();
+            truncated.truncate(n);
+            let prefix = Trace::from_records(
+                TraceMetadata::named("prefix"),
+                conditional[..n.min(len)].to_vec(),
+            )
+            .intern();
+            prop_assert_eq!(truncated.records(), prefix.records(), "n = {}", n);
+            prop_assert_eq!(truncated.addrs(), prefix.addrs(), "n = {}", n);
+            prop_assert_eq!(truncated.static_count(), prefix.static_count(), "n = {}", n);
+            prop_assert_eq!(&truncated, &prefix, "n = {}", n);
+        }
     }
 }

@@ -17,7 +17,11 @@ Drill, against the release `btr-shard`/`btr-shard-worker` binaries:
    `final.btrw` must equal the sequential reference byte for byte.
 
 Usage: crash_recovery_gate.py [--shard target/release/btr-shard]
-                              [--work-dir DIR] [--keep]
+                              [--family pas|gas] [--work-dir DIR] [--keep]
+
+`--family` picks the predictor family the drilled sweep runs (default
+`pas`); CI drills both, so the per-address and the global-register
+windowed paths each face the faults.
 """
 
 import argparse
@@ -33,8 +37,8 @@ import time
 # 60 s stall forces the coordinator's straggler deadline to do the killing.
 FAULT_PLAN = "seed=42,percent=100,max=1,stall-ms=60000"
 
+# The sweep under drill, minus `--family` (added from the command line).
 SPEC = [
-    "--family", "pas",
     "--histories", "0,2,4,8",
     "--benchmarks", "compress,li",
     "--scale", "1e-6",
@@ -74,6 +78,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--shard", default="target/release/btr-shard",
                         help="path of the btr-shard binary (worker is its sibling)")
+    parser.add_argument("--family", choices=["pas", "gas"], default="pas",
+                        help="predictor family of the drilled sweep")
     parser.add_argument("--work-dir", default=None,
                         help="working directory (default: a fresh temp dir)")
     parser.add_argument("--keep", action="store_true",
@@ -90,14 +96,15 @@ def main():
     shutil.rmtree(shard_dir, ignore_errors=True)
 
     faulted_env = dict(os.environ, BTR_FAULT=FAULT_PLAN)
+    spec = ["--family", args.family] + SPEC
 
     # 1. The unsharded reference.
-    run([args.shard, "sequential", seq_dir] + SPEC, check_code=0)
+    run([args.shard, "sequential", seq_dir] + spec, check_code=0)
     reference = open(os.path.join(seq_dir, "final.btrw"), "rb").read()
     print(f"sequential reference: {len(reference)} bytes")
 
     # 2. Faulted run, gracefully interrupted after 3 commits (exit code 3).
-    run([args.shard, "run", shard_dir] + SPEC + SCHEDULING + ["--max-commits", "3"],
+    run([args.shard, "run", shard_dir] + spec + SCHEDULING + ["--max-commits", "3"],
         env=faulted_env, check_code=3)
     if os.path.exists(os.path.join(shard_dir, "final.btrw")):
         sys.exit("FAIL: interrupted run must not write a final artifact")

@@ -13,11 +13,11 @@
 //!   before fusion). Fused wins ~15–17× — this and the streamed baseline
 //!   are the per-pass sweeps the fused engine replaced, and where the ≥ 4×
 //!   per-point acceptance bound is measured (`BENCH_pr5.json`).
-//! * `per_history_17decode/fast_chunk64k/…` — one [`FastBtrtReader`]
-//!   decode+simulate pass of the serialized `BTRT` bytes per history (the
-//!   pre-fusion streamed path, which re-decodes per point), against
-//!   `fused_streamed/fast_chunk64k/…`, one decode pass for the whole curve.
-//!   Fused-streamed wins ~5.0× (`BENCH_pr13.json`).
+//! * `per_history_17decode_1slot/fast_chunk64k/…` — one [`FastBtrtReader`]
+//!   decode pass of the serialized `BTRT` bytes per history, each simulated
+//!   by a one-slot [`SimEngine::run_fused_streamed`] (a sweep that re-decodes
+//!   per point), against `fused_streamed/fast_chunk64k/…`, one decode pass
+//!   for the whole curve.
 
 use btr_predictors::fused::FusedSweepPredictor;
 use btr_sim::config::PredictorKind;
@@ -105,27 +105,29 @@ fn bench_fused_sweep(c: &mut Criterion) {
 
     // The paper-scale comparison: a trace that lives as serialized bytes
     // (too big to materialise) yields the curve either by re-decoding the
-    // stream once per history point (the pre-fusion streamed path) or from
-    // one fused chunked-decode pass.
+    // stream once per history point or from one fused chunked-decode pass.
     let mut bytes = Vec::new();
     binary::write_trace(&mut bytes, &trace).unwrap();
     let mut group = c.benchmark_group("fused_sweep_streamed");
     group.sample_size(10);
     group.throughput(Throughput::Elements(records * points));
-    for (label, fused_factory, kind_factory) in families.iter().take(2) {
-        group.bench_function(format!("per_history_17decode/fast_chunk64k/{label}"), |b| {
-            b.iter(|| {
-                histories
-                    .iter()
-                    .map(|&h| {
-                        let chunks = FastBtrtReader::new(bytes.as_slice(), 64 * 1024).unwrap();
-                        engine
-                            .run_streamed_dispatch(chunks, &mut kind_factory(h).build_dispatch())
-                            .unwrap()
-                    })
-                    .collect::<Vec<_>>()
-            })
-        });
+    for (label, fused_factory, _) in families.iter().take(2) {
+        group.bench_function(
+            format!("per_history_17decode_1slot/fast_chunk64k/{label}"),
+            |b| {
+                b.iter(|| {
+                    histories
+                        .iter()
+                        .map(|&h| {
+                            let chunks = FastBtrtReader::new(bytes.as_slice(), 64 * 1024).unwrap();
+                            engine
+                                .run_fused_streamed(chunks, &mut fused_factory(&[h]))
+                                .unwrap()
+                        })
+                        .collect::<Vec<_>>()
+                })
+            },
+        );
         group.bench_function(format!("fused_streamed/fast_chunk64k/{label}"), |b| {
             b.iter(|| {
                 let chunks = FastBtrtReader::new(bytes.as_slice(), 64 * 1024).unwrap();

@@ -1,21 +1,19 @@
-//! Streamed vs eager trace simulation: throughput and peak-allocation cost
-//! of the chunked I/O path (PR 3) against the eager read-then-dispatch path,
-//! plus the windowed-parallel path for one huge trace.
+//! Streamed vs eager trace simulation: throughput of the chunked I/O path
+//! against the eager read-then-dispatch path.
 //!
 //! All variants decode the *same* in-memory `BTRT` byte stream through
 //! [`FastBtrtReader`] (the eager lanes via `binary::read_trace`, which drains
 //! one), so the comparison covers the full pipeline each path really
-//! executes: decode (+ intern) + simulate. The acceptance bar is streamed
-//! throughput within 20% of eager.
+//! executes: decode (+ intern) + simulate. The streamed lanes run a one-slot
+//! [`SimEngine::run_fused_streamed`], the engine's only streamed path. The
+//! acceptance bar is streamed throughput within 20% of eager.
 
-use btr_sim::config::{PredictorKind, WarmupWindow, WindowConfig};
+use btr_sim::config::{PredictorFamily, PredictorKind};
 use btr_sim::engine::SimEngine;
-use btr_sim::runner::SuiteRunner;
 use btr_trace::io::binary;
 use btr_trace::{
     BranchAddr, BranchRecord, FastBtrtReader, Outcome, Trace, TraceBuilder, DEFAULT_CHUNK_RECORDS,
 };
-use btr_workloads::spec::SuiteConfig;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 /// A trace shaped like the generated suite: a few thousand static branches
@@ -61,7 +59,7 @@ fn bench_streaming(c: &mut Criterion) {
     for chunk_records in [1 << 12, DEFAULT_CHUNK_RECORDS, 1 << 20] {
         group.bench_function(
             format!(
-                "streamed/fast_chunk{}k/{}",
+                "fused_streamed/fast_chunk{}k/{}",
                 chunk_records >> 10,
                 kind.label()
             ),
@@ -69,7 +67,7 @@ fn bench_streaming(c: &mut Criterion) {
                 b.iter(|| {
                     let chunks = FastBtrtReader::new(encoded.as_slice(), chunk_records).unwrap();
                     engine
-                        .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
+                        .run_fused_streamed(chunks, &mut PredictorFamily::PAs.fused_paper(&[8]))
                         .unwrap()
                 })
             },
@@ -87,25 +85,6 @@ fn bench_streaming(c: &mut Criterion) {
                 .sum::<usize>()
         })
     });
-    group.finish();
-
-    // One huge trace split across workers: sequential dispatch vs windowed
-    // warmup replay on the steal pool.
-    let interned = trace.intern();
-    let runner = SuiteRunner::new(SuiteConfig::default());
-    let mut group = c.benchmark_group("windowed_single_trace");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(interned.len() as u64));
-    group.bench_function(format!("sequential/{}", kind.label()), |b| {
-        b.iter(|| engine.run_dispatch(&interned, &mut kind.build_dispatch()))
-    });
-    for warm in [4096usize, 65_536] {
-        let cfg = WindowConfig::new(1 << 18).with_warmup_window(WarmupWindow::Records(warm));
-        group.bench_function(
-            format!("windowed/warm{}k/{}", warm >> 10, kind.label()),
-            |b| b.iter(|| runner.run_trace_windowed(&interned, kind, cfg)),
-        );
-    }
     group.finish();
 }
 

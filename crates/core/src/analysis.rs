@@ -169,24 +169,11 @@ impl DenseMissTable {
     }
 
     /// Grows the table with zeroed entries so ids `0 .. static_count` are
-    /// valid. Never shrinks. Streaming consumers discover static branches
-    /// incrementally, so their tables grow as new ids first appear instead of
-    /// being sized up front.
-    pub fn grow_to(&mut self, static_count: usize) {
+    /// valid. Never shrinks.
+    fn grow_to(&mut self, static_count: usize) {
         if static_count > self.stats.len() {
             self.stats.resize(static_count, PredictionStats::new());
         }
-    }
-
-    /// Records one prediction result, growing the table first if `id` is
-    /// beyond the current size (the streaming counterpart of
-    /// [`DenseMissTable::record`]).
-    #[inline]
-    pub fn record_growing(&mut self, id: u32, hit: bool) {
-        if id as usize >= self.stats.len() {
-            self.grow_to(id as usize + 1);
-        }
-        self.stats[id as usize].record(hit);
     }
 
     /// Adds another table's per-id counts into this one, index-wise, growing
@@ -194,9 +181,8 @@ impl DenseMissTable {
     ///
     /// Prediction statistics are plain hit/lookup counters, so merging window
     /// or chunk partials this way is exact: the merged table is bit-identical
-    /// to one accumulated sequentially, whatever the partition. This is what
-    /// the windowed-parallel simulation path merges its per-window partials
-    /// with.
+    /// to one accumulated sequentially, whatever the partition. Per-window
+    /// simulation partials recombine this way.
     pub fn merge(&mut self, other: &DenseMissTable) {
         self.grow_to(other.stats.len());
         for (mine, theirs) in self.stats.iter_mut().zip(&other.stats) {
@@ -678,7 +664,8 @@ mod tests {
             a.record(id, hit);
         }
         for &(id, hit) in second {
-            b.record_growing(id, hit);
+            b.grow_to(id as usize + 1);
+            b.record(id, hit);
         }
         a.merge(&b);
         assert_eq!(a, sequential);
@@ -694,7 +681,8 @@ mod tests {
     #[test]
     fn dense_miss_table_grows_on_demand() {
         let mut t = DenseMissTable::new(1);
-        t.record_growing(4, true);
+        t.merge(&DenseMissTable::new(5));
+        t.record(4, true);
         assert_eq!(t.stats().len(), 5);
         assert_eq!(t.stats()[4].lookups, 1);
         t.grow_to(3); // never shrinks

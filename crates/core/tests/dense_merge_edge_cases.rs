@@ -4,10 +4,13 @@
 use btr_core::analysis::DenseMissTable;
 use btr_trace::BranchAddr;
 
+/// A table of at least `size` ids (more if an event's id needs it) holding
+/// `events`.
 fn table_from(events: &[(u32, bool)], size: usize) -> DenseMissTable {
-    let mut t = DenseMissTable::new(size);
+    let ids = events.iter().map(|&(id, _)| id as usize + 1).max();
+    let mut t = DenseMissTable::new(ids.unwrap_or(0).max(size));
     for &(id, hit) in events {
-        t.record_growing(id, hit);
+        t.record(id, hit);
     }
     t
 }

@@ -19,28 +19,24 @@
 //! Both paths are bit-identical by construction, and the test suite asserts
 //! it for every predictor family.
 //!
-//! Two more paths cover paper-scale traces that cannot (or should not) be
-//! materialised:
-//!
-//! * [`SimEngine::run_streamed`] consumes bounded [`TraceChunk`]s from any
-//!   [`ChunkStream`] ([`btr_trace::FastBtrtReader`] for `BTRT` bytes,
-//!   [`btr_trace::ChunkedTraceReader`] for text), so peak memory is one
-//!   chunk plus the per-static-branch tables — independent of trace length
-//!   — while staying bit-identical to the eager hot path.
-//! * [`SimEngine::run_window`] simulates one window of a trace on a fresh
-//!   predictor after replaying a configurable warmup region
-//!   ([`WarmupWindow`]), producing a mergeable [`DenseMissTable`] partial;
-//!   the suite runner schedules windows of one huge trace across the
-//!   work-stealing pool this way.
-//!
-//! Finally, the *fused* paths simulate an entire history sweep in one pass:
+//! The *fused* paths simulate an entire history sweep in one pass:
 //!
 //! * [`SimEngine::run_fused`] drives a [`FusedSweepPredictor`] — every
 //!   history length of one family at once — over an interned trace, yielding
 //!   one [`RunResult`] per history slot from a single traversal.
-//! * [`SimEngine::run_fused_streamed`] does the same from [`TraceChunk`]s, so
-//!   a paper-scale trace produces the whole history curve from one chunked
-//!   decode pass instead of re-decoding the bytes per sweep point.
+//! * [`SimEngine::run_batch`] replays many fused lanes over one or more
+//!   traces through the bit-sliced SWAR tier, sharing each trace's
+//!   first-level pass across its lanes.
+//! * [`SimEngine::run_fused_streamed`] does the same as `run_fused` from
+//!   bounded [`TraceChunk`]s of any [`ChunkStream`]
+//!   ([`btr_trace::FastBtrtReader`] for `BTRT` bytes,
+//!   [`btr_trace::ChunkedTraceReader`] for text), so a paper-scale trace
+//!   produces the whole history curve from one chunked decode pass with
+//!   peak memory independent of trace length.
+//!
+//! [`SimEngine::run_window_dispatch`] remains as a per-history oracle: it
+//! scores one window of a trace after replaying the full prefix, producing a
+//! mergeable [`DenseMissTable`] partial.
 
 use crate::config::WarmupWindow;
 use btr_core::analysis::{miss_map_from_value, miss_map_to_value, BranchMissMap, DenseMissTable};
@@ -274,9 +270,9 @@ impl FusedMissAccumulator {
 /// Folds a dense per-id statistics table into a [`RunResult`], computing the
 /// overall statistics as the table's column sums (exact, since every scored
 /// record lands in the table) and resolving ids through `addrs`. Shared by
-/// every dense-table path (interned, streamed, windowed-merge) so they cannot
+/// every dense-table path (interned, fused, windowed-merge) so they cannot
 /// drift apart; public so callers outside this crate fold their
-/// [`SimEngine::run_window`] partials through the same code.
+/// [`SimEngine::run_window_dispatch`] partials through the same code.
 pub fn result_from_dense(dense: DenseMissTable, addrs: &[BranchAddr]) -> RunResult {
     let mut overall = PredictionStats::new();
     for stats in dense.stats() {
@@ -702,9 +698,13 @@ impl SimEngine {
     /// chunks are recycled back to the stream, so a recycling reader (e.g.
     /// [`btr_trace::FastBtrtReader`]) streams with zero per-chunk allocation.
     ///
-    /// The chunk contract matches [`SimEngine::run_streamed`]; results are
-    /// bit-identical to the eager [`SimEngine::run_fused`] over the same
-    /// records — pinned by `tests/fused_equivalence.rs`.
+    /// The chunks must arrive in stream order with ids assigned by one
+    /// persistent interner (what [`btr_trace::ChunkedTraceReader`] and
+    /// [`btr_trace::FastBtrtReader`] produce); the id → address table is
+    /// rebuilt incrementally from the columns themselves, since a dense id
+    /// first appears on its defining record. Results are bit-identical to the
+    /// eager [`SimEngine::run_fused`] over the same records — pinned by
+    /// `tests/fused_equivalence.rs`.
     ///
     /// # Errors
     ///
@@ -747,115 +747,55 @@ impl SimEngine {
         Ok(acc.into_results(&addrs))
     }
 
-    /// Runs a concrete predictor over a [`ChunkStream`] without ever
-    /// materialising the whole trace: peak memory is one chunk plus the
-    /// per-static-branch tables, independent of trace length. Consumed
-    /// chunks are recycled back to the stream.
-    ///
-    /// The chunks must arrive in stream order with ids assigned by one
-    /// persistent interner (what [`btr_trace::ChunkedTraceReader`] and
-    /// [`btr_trace::FastBtrtReader`] produce); the id → address table is
-    /// rebuilt incrementally from the columns themselves, since a dense id
-    /// first appears on its defining record. Results are bit-identical to
-    /// [`SimEngine::run_dispatch`] over the eagerly-read trace — pinned by
-    /// `tests/streamed_equivalence.rs`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first decode error the chunk stream yields.
-    pub fn run_streamed<P, S>(
-        &self,
-        mut chunks: S,
-        predictor: &mut P,
-    ) -> btr_trace::Result<RunResult>
-    where
-        P: BranchPredictor,
-        S: ChunkStream,
-    {
-        let mut dense = DenseMissTable::new(0);
-        let mut addrs: Vec<BranchAddr> = Vec::new();
-        let mut seen = 0u64;
-        while let Some(chunk) = chunks.pull() {
-            let chunk = chunk?;
-            for ((&addr, &id), &taken) in chunk
-                .cond_addrs()
-                .iter()
-                .zip(chunk.cond_ids())
-                .zip(chunk.cond_taken())
-            {
-                if id as usize == addrs.len() {
-                    addrs.push(addr);
-                }
-                let hit = predictor.access(addr, Outcome::from_bool(taken));
-                seen += 1;
-                if seen <= self.warmup {
-                    continue;
-                }
-                dense.record_growing(id, hit);
-            }
-            chunks.recycle(chunk);
-        }
-        Ok(result_from_dense(dense, &addrs))
-    }
-
-    /// [`SimEngine::run_streamed`] for a [`DispatchPredictor`], selecting the
-    /// concrete family once per run so the chunk loop is monomorphized.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first decode error the chunk stream yields.
-    pub fn run_streamed_dispatch<S>(
-        &self,
-        chunks: S,
-        predictor: &mut DispatchPredictor,
-    ) -> btr_trace::Result<RunResult>
-    where
-        S: ChunkStream,
-    {
-        match predictor {
-            DispatchPredictor::TwoLevel(p) => self.run_streamed(chunks, p),
-            DispatchPredictor::Gshare(p) => self.run_streamed(chunks, p),
-            DispatchPredictor::Bimodal(p) => self.run_streamed(chunks, p),
-            DispatchPredictor::Static(p) => self.run_streamed(chunks, p),
-        }
-    }
-
     /// Simulates one window `[start, end)` of an interned trace on a fresh
-    /// predictor, replaying a warmup region first, and returns the window's
-    /// per-id statistics partial (merge partials with
-    /// [`DenseMissTable::merge`]).
+    /// predictor and returns the window's per-id statistics partial (merge
+    /// partials with [`DenseMissTable::merge`], fold them with
+    /// [`result_from_dense`]), selecting the concrete family once per window.
     ///
-    /// The predictor is trained on `[warmup_window.warm_start(start), start)`
-    /// without recording statistics, then scored on `[start, end)`. With
-    /// [`WarmupWindow::FullPrefix`] the predictor enters the scored region in
-    /// exactly the sequential state, so merging all window partials is
-    /// bit-identical to one sequential run. The engine's own
-    /// [`SimEngine::warmup`] exclusion applies to *absolute* record indices,
-    /// so it composes with windowing exactly as in the sequential paths.
+    /// The predictor is trained on the whole prefix `[0, start)` without
+    /// recording statistics ([`WarmupWindow::FullPrefix`]), then scored on
+    /// `[start, end)`, so it enters the scored region in exactly the
+    /// sequential state: merging all window partials in order is
+    /// bit-identical to one [`SimEngine::run_dispatch`]. The engine's own
+    /// [`SimEngine::with_warmup`] exclusion applies to *absolute* record
+    /// indices, so it composes with windowing exactly as in the sequential
+    /// paths. Out-of-range bounds are clamped to the trace length.
     ///
-    /// Out-of-range bounds are clamped to the trace length.
-    ///
-    /// Remaining callers, all through [`SimEngine::run_window_dispatch`]:
-    /// [`crate::runner::SuiteRunner::run_trace_windowed`] (which also needs
-    /// the approximate [`WarmupWindow::Records`] mode), the per-history
-    /// oracle `btr-shard`'s `tests/window_units.rs` pins its units against,
-    /// and `perfbench`'s traced shard replay. A sweep of several histories
-    /// over one window is cheaper as one [`SimEngine::run_batch`] lane with
-    /// the window start as [`SimEngine::with_warmup`] over the trace cut at
-    /// the window end ([`InternedTrace::truncate`]), which is how `btr-shard`
-    /// units run.
-    pub fn run_window<P: BranchPredictor>(
+    /// This is a per-history test oracle (`btr-shard`'s
+    /// `tests/window_units.rs`) and the benchmark harness's traced shard
+    /// replay; production windowed sweeps run one [`SimEngine::run_batch`]
+    /// lane with the window start as [`SimEngine::with_warmup`] over the
+    /// trace cut at the window end ([`InternedTrace::truncate`]).
+    pub fn run_window_dispatch(
+        &self,
+        trace: &InternedTrace,
+        predictor: &mut DispatchPredictor,
+        start: usize,
+        end: usize,
+        warmup_window: WarmupWindow,
+    ) -> DenseMissTable {
+        // The only mode; a new variant must be handled here before it builds.
+        let WarmupWindow::FullPrefix = warmup_window;
+        match predictor {
+            DispatchPredictor::TwoLevel(p) => self.run_window(trace, p, start, end),
+            DispatchPredictor::Gshare(p) => self.run_window(trace, p, start, end),
+            DispatchPredictor::Bimodal(p) => self.run_window(trace, p, start, end),
+            DispatchPredictor::Static(p) => self.run_window(trace, p, start, end),
+        }
+    }
+
+    /// [`SimEngine::run_window_dispatch`] for one concrete predictor family.
+    fn run_window<P: BranchPredictor>(
         &self,
         trace: &InternedTrace,
         predictor: &mut P,
         start: usize,
         end: usize,
-        warmup_window: WarmupWindow,
     ) -> DenseMissTable {
         let records = trace.records();
         let end = end.min(records.len());
         let start = start.min(end);
-        for record in &records[warmup_window.warm_start(start)..start] {
+        for record in &records[..start] {
             predictor.access(record.addr(), record.outcome());
         }
         let mut dense = DenseMissTable::new(trace.static_count());
@@ -867,24 +807,6 @@ impl SimEngine {
             dense.record(record.id(), hit);
         }
         dense
-    }
-
-    /// [`SimEngine::run_window`] for a [`DispatchPredictor`], selecting the
-    /// concrete family once per window.
-    pub fn run_window_dispatch(
-        &self,
-        trace: &InternedTrace,
-        predictor: &mut DispatchPredictor,
-        start: usize,
-        end: usize,
-        warmup_window: WarmupWindow,
-    ) -> DenseMissTable {
-        match predictor {
-            DispatchPredictor::TwoLevel(p) => self.run_window(trace, p, start, end, warmup_window),
-            DispatchPredictor::Gshare(p) => self.run_window(trace, p, start, end, warmup_window),
-            DispatchPredictor::Bimodal(p) => self.run_window(trace, p, start, end, warmup_window),
-            DispatchPredictor::Static(p) => self.run_window(trace, p, start, end, warmup_window),
-        }
     }
 
     /// Runs a [`DispatchPredictor`] over an interned trace, selecting the

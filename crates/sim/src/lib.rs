@@ -7,16 +7,16 @@
 //! * [`engine`] — runs a trace through a predictor, collecting overall and
 //!   per-branch hit/miss statistics. Offers a `dyn` compatibility path, a
 //!   devirtualized, dense-indexed hot path over interned traces
-//!   ([`engine::SimEngine::run_dispatch`]), and a fused multi-history path
-//!   that simulates a whole history sweep in one trace pass
-//!   ([`engine::SimEngine::run_fused`], with a chunk-streamed variant).
+//!   ([`engine::SimEngine::run_dispatch`]), and fused multi-history paths
+//!   that simulate a whole history sweep in one trace pass
+//!   ([`engine::SimEngine::run_fused`], the SWAR batch tier
+//!   [`engine::SimEngine::run_batch`], and the chunk-streamed
+//!   [`engine::SimEngine::run_fused_streamed`]).
 //! * [`sweep`] — history-length sweeps (0–16) for PAs and GAs, producing the
 //!   class × history matrices of the paper's figures; one fused pass per
 //!   trace instead of one pass per history length.
 //! * [`runner`] — parallel execution of sweeps across the benchmark suite as
-//!   one fused task per benchmark on a vendored work-stealing pool, plus
-//!   per-trace windowed parallelism for single huge traces
-//!   ([`runner::SuiteRunner::run_trace_windowed`]).
+//!   fused tasks per benchmark on a vendored work-stealing pool.
 //! * [`experiments`] — one function per paper table/figure, returning both
 //!   structured data and a printable rendering.
 //!
@@ -40,9 +40,7 @@ pub mod sweep;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::config::{
-        PredictorFamily, PredictorKind, SimConfig, WarmupWindow, WindowConfig,
-    };
+    pub use crate::config::{PredictorFamily, PredictorKind, WarmupWindow};
     pub use crate::engine::{RunResult, SimEngine};
     pub use crate::experiments::ExperimentContext;
     pub use crate::runner::SuiteRunner;

@@ -1,20 +1,15 @@
 //! Multi-threaded execution of the full benchmark suite.
 //!
-//! Earlier revisions parallelised with `std::thread::scope` plus a
-//! mutex-guarded shared work index, and split sweeps by history length only —
-//! so a sweep over fewer history lengths than cores left threads idle. A
-//! later revision flattened sweeps into a (benchmark × history) grid on a
-//! vendored work-stealing pool ([`stealpool`]); the grid dimension is now
-//! (benchmark × **1 fused task**): each task simulates every history length
-//! of the sweep from a single trace pass
-//! ([`crate::engine::SimEngine::run_fused`]), so the whole history curve of
-//! a benchmark costs one traversal instead of `histories.len()`. Per-task
-//! partial results are still merged deterministically by benchmark index.
+//! Sweeps run on a vendored work-stealing pool ([`stealpool`]) as a
+//! (benchmark × fused history-group) grid: each task simulates every history
+//! length of its group from a single trace pass through the SWAR batch
+//! engine ([`crate::engine::SimEngine::run_batch`]), so the whole history
+//! curve of a benchmark costs one traversal instead of `histories.len()`.
+//! Per-task partial results are merged deterministically by benchmark index.
 
-use crate::config::{PredictorFamily, PredictorKind, WindowConfig};
+use crate::config::PredictorFamily;
 use crate::engine::{BatchLane, RunResult, SimEngine};
 use crate::sweep::SweepResult;
-use btr_core::analysis::DenseMissTable;
 use btr_core::profile::ProgramProfile;
 use btr_trace::{InternedTrace, Trace};
 use btr_workloads::spec::{Benchmark, SuiteConfig};
@@ -176,36 +171,6 @@ impl SuiteRunner {
             }
         }
         SweepResult::from_parts(family, parts)
-    }
-
-    /// Simulates **one** trace by splitting it into windows executed
-    /// concurrently on the work-stealing pool — the path for a single huge
-    /// trace that would otherwise occupy one worker while the rest idle.
-    ///
-    /// Every window gets a fresh predictor re-warmed on
-    /// `config.warmup_window` (see [`crate::config::WarmupWindow`] for the
-    /// exact-vs-approximate trade-off), and the per-window
-    /// [`DenseMissTable`] partials are merged in window-index order, so the
-    /// outcome is deterministic no matter how windows were scheduled — and
-    /// bit-identical to [`SimEngine::run_dispatch`] under
-    /// [`crate::config::WarmupWindow::FullPrefix`].
-    pub fn run_trace_windowed(
-        &self,
-        trace: &InternedTrace,
-        kind: PredictorKind,
-        config: WindowConfig,
-    ) -> RunResult {
-        let engine = SimEngine::new();
-        let windows = config.windows(trace.len());
-        let partials: Vec<DenseMissTable> = self.pool().run(windows, |_, (start, end)| {
-            let mut predictor = kind.build_dispatch();
-            engine.run_window_dispatch(trace, &mut predictor, start, end, config.warmup_window)
-        });
-        let mut dense = DenseMissTable::new(trace.static_count());
-        for partial in &partials {
-            dense.merge(partial);
-        }
-        crate::engine::result_from_dense(dense, trace.addrs())
     }
 }
 

@@ -1,19 +1,24 @@
-//! Equivalence suite for the streaming and windowed simulation paths.
+//! Equivalence suite for the streamed and windowed simulation paths.
 //!
-//! Pins the two guarantees the streaming subsystem rests on:
+//! Pins two guarantees against one sequential [`SimEngine::run_dispatch`]:
 //!
-//! 1. [`SimEngine::run_streamed`] over a chunked `BTRT` stream is
-//!    **bit-identical** to [`SimEngine::run_dispatch`] over the eagerly-read,
-//!    interned trace — for every predictor family, chunk size and warmup.
-//! 2. Windowed-parallel simulation with [`WarmupWindow::FullPrefix`] is
-//!    **bit-identical** to the sequential dispatch run, while finite warmup
-//!    windows diverge by a bounded, shrinking amount.
+//! 1. Simulating a trace window by window with
+//!    [`SimEngine::run_window_dispatch`] under [`WarmupWindow::FullPrefix`],
+//!    merging the [`DenseMissTable`] partials in window order and folding
+//!    them with [`result_from_dense`], is **bit-identical** — for every
+//!    predictor family and window size. `btr-shard`'s `tests/window_units.rs`
+//!    checks its units against this oracle.
+//! 2. A one-slot [`SimEngine::run_fused_streamed`] over a chunked `BTRT`
+//!    stream is **bit-identical** for any chunking (the multi-slot streamed
+//!    sweep is pinned by `tests/fused_equivalence.rs`).
 
-use btr_sim::config::{PredictorKind, WarmupWindow, WindowConfig};
-use btr_sim::engine::SimEngine;
-use btr_sim::runner::SuiteRunner;
+use btr_core::analysis::DenseMissTable;
+use btr_sim::config::{PredictorFamily, PredictorKind, WarmupWindow};
+use btr_sim::engine::{result_from_dense, RunResult, SimEngine};
 use btr_trace::io::binary;
-use btr_trace::{BranchAddr, BranchRecord, FastBtrtReader, Outcome, Trace, TraceBuilder};
+use btr_trace::{
+    BranchAddr, BranchRecord, FastBtrtReader, InternedTrace, Outcome, Trace, TraceBuilder,
+};
 use btr_workloads::spec::{Benchmark, SuiteConfig};
 use proptest::prelude::*;
 
@@ -58,69 +63,32 @@ fn predictor_kinds() -> Vec<PredictorKind> {
     ]
 }
 
-#[test]
-fn run_streamed_is_bit_identical_to_run_dispatch() {
-    for trace in [mixed_trace(6000, 0xfeed), generated_trace()] {
-        let mut buf = Vec::new();
-        binary::write_trace(&mut buf, &trace).unwrap();
-        let interned = trace.intern();
-        let engine = SimEngine::new();
-        for kind in predictor_kinds() {
-            let eager = engine.run_dispatch(&interned, &mut kind.build_dispatch());
-            for chunk_records in [1usize, 7, 4096, 10_000_000] {
-                let chunks = FastBtrtReader::new(buf.as_slice(), chunk_records).unwrap();
-                let streamed = engine
-                    .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
-                    .unwrap();
-                assert_eq!(
-                    eager,
-                    streamed,
-                    "{} diverged at chunk size {chunk_records}",
-                    kind.label()
-                );
-            }
-        }
+/// Simulates `trace` as consecutive windows of `window` records, each on a
+/// fresh predictor re-warmed on its full prefix, and merges the partials in
+/// window order.
+fn run_windowed(
+    engine: &SimEngine,
+    trace: &InternedTrace,
+    kind: PredictorKind,
+    window: usize,
+) -> RunResult {
+    let mut dense = DenseMissTable::new(trace.static_count());
+    for start in (0..trace.len()).step_by(window) {
+        let partial = engine.run_window_dispatch(
+            trace,
+            &mut kind.build_dispatch(),
+            start,
+            start + window,
+            WarmupWindow::FullPrefix,
+        );
+        dense.merge(&partial);
     }
-}
-
-#[test]
-fn run_streamed_honours_engine_warmup_identically() {
-    let trace = mixed_trace(3000, 0xabcd);
-    let mut buf = Vec::new();
-    binary::write_trace(&mut buf, &trace).unwrap();
-    let interned = trace.intern();
-    let kind = PredictorKind::PAsPaper { history: 4 };
-    for warmup in [0u64, 1, 137, 2999, 3000, 9999] {
-        let engine = SimEngine::new().with_warmup(warmup);
-        let eager = engine.run_dispatch(&interned, &mut kind.build_dispatch());
-        let chunks = FastBtrtReader::new(buf.as_slice(), 256).unwrap();
-        let streamed = engine
-            .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
-            .unwrap();
-        assert_eq!(eager, streamed, "warmup {warmup} diverged");
-    }
-}
-
-#[test]
-fn run_streamed_propagates_decode_errors() {
-    let trace = mixed_trace(500, 0x1234);
-    let mut buf = Vec::new();
-    binary::write_trace(&mut buf, &trace).unwrap();
-    buf.truncate(buf.len() - 3);
-    let chunks = FastBtrtReader::new(buf.as_slice(), 64).unwrap();
-    let err = SimEngine::new()
-        .run_streamed_dispatch(chunks, &mut PredictorKind::StaticTaken.build_dispatch())
-        .unwrap_err();
-    assert!(
-        matches!(err, btr_trace::TraceError::TruncatedRecord { .. }),
-        "{err:?}"
-    );
+    result_from_dense(dense, trace.addrs())
 }
 
 #[test]
 fn windowed_full_prefix_warmup_is_bit_identical_to_dispatch() {
     let engine = SimEngine::new();
-    let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(3);
     // Degenerate window sizes are O(n²/window) under full-prefix warmup, so
     // they run on a short trace; realistic sizes cover the longer traces.
     let short = mixed_trace(1200, 0x5eed);
@@ -134,8 +102,7 @@ fn windowed_full_prefix_warmup_is_bit_identical_to_dispatch() {
         for kind in predictor_kinds() {
             let sequential = engine.run_dispatch(&interned, &mut kind.build_dispatch());
             for &window in &windows {
-                let windowed =
-                    runner.run_trace_windowed(&interned, kind, WindowConfig::new(window));
+                let windowed = run_windowed(&engine, &interned, kind, window);
                 assert_eq!(
                     sequential,
                     windowed,
@@ -149,61 +116,18 @@ fn windowed_full_prefix_warmup_is_bit_identical_to_dispatch() {
 
 #[test]
 fn windowed_empty_trace_produces_empty_result() {
-    let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(2);
     let interned = TraceBuilder::new("empty").build().intern();
-    let result = runner.run_trace_windowed(
+    // Bounds past the end clamp to the (empty) trace.
+    let dense = SimEngine::new().run_window_dispatch(
         &interned,
-        PredictorKind::GAsPaper { history: 4 },
-        WindowConfig::new(128),
+        &mut PredictorKind::GAsPaper { history: 4 }.build_dispatch(),
+        0,
+        128,
+        WarmupWindow::FullPrefix,
     );
+    let result = result_from_dense(dense, interned.addrs());
     assert_eq!(result.overall.lookups, 0);
     assert!(result.per_branch.is_empty());
-}
-
-#[test]
-fn finite_warmup_divergence_is_bounded_and_shrinks() {
-    let trace = mixed_trace(20_000, 0xcafe);
-    let interned = trace.intern();
-    let engine = SimEngine::new();
-    let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(4);
-    // Bounds are calibrated to this deterministic workload (a third of its
-    // outcomes are pure noise, the worst case for window re-convergence):
-    // gshare re-converges fast; PAs pays slow per-address PHT retraining.
-    let cases = [
-        (
-            PredictorKind::Gshare { history: 8 },
-            [(0usize, 0.15), (1024, 0.04), (4096, 0.005)],
-        ),
-        (
-            PredictorKind::PAsPaper { history: 8 },
-            [(0usize, 0.10), (1024, 0.10), (4096, 0.05)],
-        ),
-    ];
-    for (kind, bounds) in cases {
-        let exact = engine.run_dispatch(&interned, &mut kind.build_dispatch());
-        let exact_rate = exact.miss_rate().unwrap();
-        let mut divergences = Vec::new();
-        for (warm, bound) in bounds {
-            let cfg = WindowConfig::new(1000).with_warmup_window(WarmupWindow::Records(warm));
-            let approx = runner.run_trace_windowed(&interned, kind, cfg);
-            // Every record is still scored exactly once: only *hit* counts
-            // move under approximate warmup.
-            assert_eq!(approx.overall.lookups, exact.overall.lookups);
-            let divergence = (approx.miss_rate().unwrap() - exact_rate).abs();
-            assert!(
-                divergence <= bound,
-                "{} warmup {warm}: divergence {divergence} exceeds {bound}",
-                kind.label()
-            );
-            divergences.push(divergence);
-        }
-        // Divergence shrinks as the warmup window grows.
-        assert!(divergences[1] <= divergences[0] + 1e-12, "{divergences:?}");
-        assert!(divergences[2] <= divergences[1] + 1e-12, "{divergences:?}");
-        // A warmup window longer than any prefix is exactly FullPrefix.
-        let huge = WindowConfig::new(1000).with_warmup_window(WarmupWindow::Records(usize::MAX));
-        assert_eq!(runner.run_trace_windowed(&interned, kind, huge), exact);
-    }
 }
 
 proptest! {
@@ -214,14 +138,13 @@ proptest! {
         seed in any::<u64>(),
         len in 1u64..2000,
         window in 1usize..600,
-        threads in 1usize..5,
     ) {
         let trace = mixed_trace(len, seed);
         let interned = trace.intern();
         let kind = PredictorKind::GAsPaper { history: 6 };
-        let sequential = SimEngine::new().run_dispatch(&interned, &mut kind.build_dispatch());
-        let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(threads);
-        let windowed = runner.run_trace_windowed(&interned, kind, WindowConfig::new(window));
+        let engine = SimEngine::new();
+        let sequential = engine.run_dispatch(&interned, &mut kind.build_dispatch());
+        let windowed = run_windowed(&engine, &interned, kind, window);
         prop_assert_eq!(sequential, windowed);
     }
 
@@ -239,8 +162,8 @@ proptest! {
         let eager = engine.run_dispatch(&trace.intern(), &mut kind.build_dispatch());
         let chunks = FastBtrtReader::new(buf.as_slice(), chunk_records).unwrap();
         let streamed = engine
-            .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
+            .run_fused_streamed(chunks, &mut PredictorFamily::PAs.fused_paper(&[6]))
             .unwrap();
-        prop_assert_eq!(eager, streamed);
+        prop_assert_eq!(vec![eager], streamed);
     }
 }

@@ -1,4 +1,4 @@
-//! Allocation-counting harness proving the streamed paths' memory bound: a
+//! Allocation-counting harness proving the streamed path's memory bound: a
 //! multi-million-record synthetic trace simulates with peak heap growth
 //! bounded by the chunk size (plus the per-static-branch tables), not by
 //! trace length.
@@ -10,12 +10,13 @@
 //! the streaming pipeline's own footprint. Two cases share the counters, so
 //! they run one at a time:
 //!
-//! * records straight into [`SimEngine::run_streamed_dispatch`];
+//! * records straight from [`ChunkedTraceReader::from_records`] (the text
+//!   upload path) into a one-slot [`SimEngine::run_fused_streamed`];
 //! * the production path — `BTRT` bytes synthesised on the fly, decoded by
 //!   [`FastBtrtReader`] and swept by [`SimEngine::run_fused_streamed`], as
 //!   `btrd`'s `/sweep` does.
 
-use btr_sim::config::{PredictorFamily, PredictorKind};
+use btr_sim::config::PredictorFamily;
 use btr_sim::engine::SimEngine;
 use btr_trace::io::binary;
 use btr_trace::{
@@ -221,17 +222,21 @@ fn streamed_peak_memory_is_bounded_by_chunk_size_not_trace_length() {
         source,
         CHUNK_RECORDS,
     );
-    let mut predictor = PredictorKind::PAsPaper { history: 8 }.build_dispatch();
+    let mut fused = PredictorFamily::PAs.fused_paper(&[8]);
 
-    let (result, peak_delta) = peak_growth(|| {
+    let (results, peak_delta) = peak_growth(|| {
         SimEngine::new()
-            .run_streamed_dispatch(reader, &mut predictor)
+            .run_fused_streamed(reader, &mut fused)
             .expect("synthetic stream cannot fail")
     });
 
-    assert_eq!(result.overall.lookups, RECORDS);
-    assert_eq!(result.per_branch.len(), STATICS as usize);
-    assert_bounded("run_streamed_dispatch", peak_delta);
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].overall.lookups, RECORDS);
+    assert_eq!(results[0].per_branch.len(), STATICS as usize);
+    assert_bounded(
+        "ChunkedTraceReader + one-slot run_fused_streamed",
+        peak_delta,
+    );
 }
 
 #[test]

@@ -177,11 +177,11 @@ impl TraceChunk {
 
 /// A pull source of [`TraceChunk`]s with buffer recycling.
 ///
-/// This is the contract the streaming engine paths (`SimEngine::run_streamed`
-/// / `run_fused_streamed` in `btr-sim`) consume: pull the next chunk with
-/// [`ChunkStream::pull`], and once done with it hand the chunk *back*
-/// with [`ChunkStream::recycle`] so the reader can refill its buffers in
-/// place. With a consumer that recycles, steady-state streaming does zero
+/// This is the contract the streaming engine path
+/// (`SimEngine::run_fused_streamed` in `btr-sim`) consumes: pull the next
+/// chunk with [`ChunkStream::pull`], and once done with it hand the chunk
+/// *back* with [`ChunkStream::recycle`] so the reader can refill its buffers
+/// in place. With a consumer that recycles, steady-state streaming does zero
 /// per-chunk allocation — the reader and the engine swap two chunk buffers
 /// back and forth.
 ///

@@ -586,7 +586,7 @@ const EXPAND_BITS: [[u16; 8]; 256] = {
 /// After every slot of a lane OR-ed its hits into `hit_lanes` (bit `s` of
 /// word `i` = record `i` hit in slot `s`), this walks the block **once**,
 /// adding each mask's bits into `staged[id * stride ..]` eight `u16` lanes
-/// at a time through [`EXPAND_BITS`] — the only id-indexed (random) writes
+/// at a time through `EXPAND_BITS` — the only id-indexed (random) writes
 /// of the whole scored path, amortized over all slots. `stride` must be
 /// [`hit_stage_stride`]`(slot_count)` and `staged` must span
 /// `(max_id + 1) * stride` lanes; slot `s` of id `d` accumulates at

@@ -7,10 +7,16 @@
 //! every decoded chunk is folded into a [`DenseTraceStats`] on the way past:
 //! classification, simulation and profiling all ride the same pass, with
 //! per-branch statistics indexed by the reader's dense interned ids rather
-//! than a per-record map lookup. Peak memory per request is one chunk plus
-//! the interning/statistics tables, independent of upload length; the
-//! distinct-branch tables are additionally capped by the static-branch
+//! than a per-record map lookup. Peak memory per streamed request is one
+//! chunk plus the interning/statistics tables, independent of upload length;
+//! the distinct-branch tables are additionally capped by the static-branch
 //! budget.
+//!
+//! The batched `/sweep` path ([`materialize_sweep`]) keeps the upload, but
+//! only as the [`InternedTrace`] the batch tier replays: the same pass
+//! appends each chunk's conditional columns, ids as the decoder assigned
+//! them, so the upload is interned once. It holds 16 bytes per conditional
+//! record, grown per chunk and never sized from the untrusted `BTRT` header.
 
 use crate::error::ServeError;
 use btr_core::advisor::{ClassRecommendation, ComponentStyle, HybridAdvisor};
@@ -24,8 +30,8 @@ use btr_sim::engine::{RunResult, SimEngine};
 use btr_sim::sweep::SweepResult;
 use btr_trace::io::TextRecordReader;
 use btr_trace::{
-    BranchRecord, ChunkStream, ChunkedTraceReader, DenseTraceStats, FastBtrtReader, InternedTrace,
-    Trace, TraceChunk, TraceMetadata,
+    ChunkStream, ChunkedTraceReader, DenseTraceStats, FastBtrtReader, InternedTrace, TraceChunk,
+    TraceMetadata,
 };
 use btr_wire::{MapBuilder, Value, Wire};
 use std::cell::Cell;
@@ -288,7 +294,8 @@ pub fn run_sweep<R: Read>(
 
 /// A `/sweep` upload fully decoded, profiled and interned — the input the
 /// batch tier ([`crate::batch::BatchScheduler`]) runs, as opposed to the
-/// chunk stream [`run_sweep`] consumes in place.
+/// chunk stream [`run_sweep`] consumes in place. The interned trace is the
+/// only per-record state it keeps: 16 bytes per conditional record.
 #[derive(Debug)]
 pub struct MaterializedSweep {
     /// The upload's trace metadata.
@@ -304,8 +311,13 @@ pub struct MaterializedSweep {
 }
 
 /// Decodes a sweep upload into a [`MaterializedSweep`], enforcing the same
-/// per-chunk static-branch budget as the streaming path. Peak memory is the
-/// whole record list — callers gate this path on the declared upload size.
+/// per-chunk static-branch budget as the streaming path. One pass folds
+/// each chunk into the statistics and appends its conditional columns to
+/// the interned trace, reusing the decoder's ids. Peak memory is the
+/// interned records (16 bytes per conditional record, at most twice that
+/// while the vector grows) plus one chunk and the per-branch tables —
+/// callers gate this path on the declared upload size. Nothing is sized
+/// from the record count a `BTRT` header declares.
 ///
 /// # Errors
 ///
@@ -318,13 +330,12 @@ pub fn materialize_sweep<R: Read>(
 ) -> Result<MaterializedSweep, ServeError> {
     let mut reader = UploadReader::new(body, format, budgets)?;
     let mut dense = DenseTraceStats::new();
-    let mut collected: Vec<BranchRecord> = Vec::new();
+    let mut interned = InternedTrace::new();
     observe_all(&mut reader, &mut dense, budgets, |chunk| {
-        collected.extend_from_slice(chunk.records());
+        interned.extend_chunk(chunk)
     })?;
     let (metadata, records) = reader.finish();
     let stats = dense.into_trace_stats();
-    let interned = Trace::from_records(metadata.clone(), collected).intern();
     Ok(MaterializedSweep {
         metadata,
         profile: ProgramProfile::from_stats(&stats),
@@ -613,7 +624,7 @@ mod tests {
     /// A small mixed-kind trace with metadata, encoded as `BTRT` and as text;
     /// the text copy carries its seed comment *after* the first record.
     fn both_encodings() -> (usize, Vec<u8>, Vec<u8>) {
-        use btr_trace::{BranchAddr, BranchKind, Outcome, TraceBuilder};
+        use btr_trace::{BranchAddr, BranchKind, BranchRecord, Outcome, TraceBuilder};
         let mut b = TraceBuilder::new("formats")
             .with_input_set("both")
             .with_seed(77);
@@ -687,6 +698,34 @@ mod tests {
         let batched = materialized(&btrt, BodyFormat::Btrt);
         assert_eq!(batched, materialized(&text, BodyFormat::Text));
         assert_eq!(batched, streamed);
+    }
+
+    #[test]
+    fn materialized_uploads_intern_as_the_eager_read_does() {
+        let (len, btrt, text) = both_encodings();
+        let eager = [
+            btr_trace::io::binary::read_trace(&mut btrt.as_slice()).expect("valid BTRT"),
+            btr_trace::io::text::read_trace(&mut text.as_slice()).expect("valid text"),
+        ];
+        let uploads = [(btrt, BodyFormat::Btrt), (text, BodyFormat::Text)];
+        for chunk_records in [1, 7, 64, 1 << 16] {
+            let budgets = Budgets {
+                chunk_records,
+                max_static_branches: 1 << 10,
+            };
+            for ((body, format), trace) in uploads.iter().zip(&eager) {
+                let upload =
+                    materialize_sweep(body.as_slice(), *format, budgets).expect("valid upload");
+                assert_eq!(
+                    *upload.interned,
+                    trace.intern(),
+                    "{format:?} at {chunk_records}"
+                );
+                assert_eq!(upload.records, len as u64);
+                assert_eq!(upload.conditional, trace.conditional_count());
+                assert_eq!(&upload.metadata, trace.metadata());
+            }
+        }
     }
 
     #[test]

@@ -216,7 +216,7 @@ impl UnitSpec {
     /// this unit's history group over its window, and return the (unlabeled)
     /// partial.
     ///
-    /// One path serves every window count (see [`sweep_window`]): a single
+    /// One path serves every window count (see `sweep_window`): a single
     /// SWAR pass over the trace cut at the window's end, with the records
     /// before the window as a warm-only prefix. Merging every unit of a
     /// sweep reproduces the sequential result bit for bit (pinned by

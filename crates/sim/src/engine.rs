@@ -601,7 +601,7 @@ impl SimEngine {
     /// [`btr_predictors::swar::BatchLoader`]), and every lane's slots replay
     /// the shared column streams through the derived counter-step table.
     /// Groups whose combined predictor state exceeds the L2 budget are split
-    /// into sequential sub-groups (see [`BATCH_L2_BUDGET_BYTES`]); lanes
+    /// into sequential sub-groups (see `BATCH_L2_BUDGET_BYTES`); lanes
     /// whose geometry or static-branch count falls outside the SWAR tier
     /// ([`FusedSweepPredictor::swar_ready`]) silently fall back to the scalar
     /// [`SimEngine::run_fused`] path.

@@ -6,13 +6,21 @@
 //! run 10⁸+ dynamic branches × 17 history lengths × 2 families, so that
 //! lookup dominates the whole experiment.
 //!
-//! [`InternedTrace`] removes it: one pass over the trace assigns every static
-//! conditional branch a dense `u32` id (in first-appearance order) and lays
-//! the conditional records out as a contiguous slice carrying the id inline.
-//! Per-branch statistics then live in a plain `Vec` indexed directly by id,
-//! and the id → address table converts back to the map-keyed form once per
-//! run instead of once per record.
+//! [`InternedTrace`] removes it: every static conditional branch gets a
+//! dense `u32` id (in first-appearance order) and the conditional records
+//! are laid out as a contiguous slice carrying the id inline. Per-branch
+//! statistics then live in a plain `Vec` indexed directly by id, and the
+//! id → address table converts back to the map-keyed form once per run
+//! instead of once per record.
+//!
+//! The production route in is [`InternedTrace::extend_chunk`]: the chunk
+//! decoders ([`crate::FastBtrtReader`], [`crate::ChunkedTraceReader`])
+//! already intern as they decode, so their chunks' id columns are folded in
+//! as they stand and nothing is interned twice. [`crate::Trace::intern`]
+//! interns an eager [`Trace`] in one pass; it is the public API for traces
+//! already in memory and the oracle the chunk route is tested against.
 
+use crate::io::chunked::TraceChunk;
 use crate::record::{BranchAddr, BranchRecord, Outcome};
 use crate::trace::Trace;
 use std::collections::HashMap;
@@ -123,6 +131,9 @@ impl IncrementalInterner {
 /// for a given record sequence; [`InternedTrace::addrs`] maps each id back to
 /// its address.
 ///
+/// Built from a chunk stream with [`InternedTrace::extend_chunk`], or from
+/// an eager trace with [`Trace::intern`]; both give the same value.
+///
 /// ```
 /// use btr_trace::{BranchAddr, BranchRecord, Outcome, TraceBuilder};
 /// let mut b = TraceBuilder::new("t");
@@ -134,7 +145,7 @@ impl IncrementalInterner {
 /// assert_eq!(interned.records()[2].id(), 0); // 0x40 was seen first
 /// assert_eq!(interned.addr_of(1), BranchAddr::new(0x80));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InternedTrace {
     addrs: Vec<BranchAddr>,
     records: Vec<InternedRecord>,
@@ -146,12 +157,63 @@ impl InternedTrace {
         Self::from_conditional_records(trace.conditional_records())
     }
 
-    /// Assembles an interned trace from already-interned parts: `addrs` in id
-    /// (first-appearance) order and records carrying ids into it. Used by the
-    /// streaming readers, whose persistent interner assigns exactly the ids
-    /// [`Trace::intern`] would.
-    pub(crate) fn from_parts(addrs: Vec<BranchAddr>, records: Vec<InternedRecord>) -> Self {
-        InternedTrace { addrs, records }
+    /// An empty interned trace, to be filled with
+    /// [`InternedTrace::extend_chunk`].
+    pub fn new() -> Self {
+        InternedTrace::default()
+    }
+
+    /// An empty interned trace with room for `records` conditional records.
+    /// Only size it from a trusted count: [`InternedTrace::extend_chunk`]
+    /// grows the trace per chunk anyway.
+    pub fn with_capacity(records: usize) -> Self {
+        InternedTrace {
+            addrs: Vec::new(),
+            records: Vec::with_capacity(records),
+        }
+    }
+
+    /// Appends one chunk's conditional records, taking their ids from the
+    /// chunk's id column as they stand. An id equal to the number of ids
+    /// seen so far is a first appearance, so its address joins the id table
+    /// (as [`crate::DenseTraceStats::observe_chunk`] does).
+    ///
+    /// Chunks must be appended in stream order, starting from an empty trace,
+    /// all from one reader: its persistent interner assigns exactly the ids
+    /// [`Trace::intern`] gives the eagerly read trace, so the result equals
+    /// that.
+    ///
+    /// ```
+    /// use btr_trace::{ChunkStream, ChunkedTraceReader, InternedTrace};
+    /// let text = "C 0x40 T\nC 0x80 N\nC 0x40 N\nC 0xc0 T\n";
+    /// let mut reader = ChunkedTraceReader::text(text.as_bytes(), 3);
+    /// let mut interned = InternedTrace::new();
+    /// while let Some(chunk) = reader.pull() {
+    ///     interned.extend_chunk(&chunk?);
+    /// }
+    /// let eager = btr_trace::io::text::read_trace(&mut text.as_bytes())?;
+    /// assert_eq!(interned, eager.intern());
+    /// # Ok::<(), btr_trace::TraceError>(())
+    /// ```
+    pub fn extend_chunk(&mut self, chunk: &TraceChunk) {
+        self.records.extend(chunk.conditional());
+        // Ids past the table are this chunk's first appearances, met in id
+        // order; most chunks of a long trace have none, so only they pay
+        // for the scan.
+        let ids = chunk.cond_ids();
+        let end = ids.iter().max().map_or(0, |&max| max as usize + 1);
+        if end <= self.addrs.len() {
+            return;
+        }
+        for (&addr, &id) in chunk.cond_addrs().iter().zip(ids) {
+            debug_assert!(id as usize <= self.addrs.len(), "chunk out of stream order");
+            if id as usize == self.addrs.len() {
+                self.addrs.push(addr);
+                if self.addrs.len() == end {
+                    break;
+                }
+            }
+        }
     }
 
     /// Interns a slice of records, all of which must be conditional.

@@ -27,7 +27,8 @@ use crate::error::TraceError;
 use crate::io::chunked::{ChunkStream, DEFAULT_CHUNK_RECORDS};
 use crate::io::fast::FastBtrtReader;
 use crate::record::{BranchKind, BranchRecord};
-use crate::trace::{Trace, TraceBuilder, TraceMetadata};
+use crate::stats::DenseTraceStats;
+use crate::trace::{Trace, TraceMetadata};
 use crate::Result;
 use std::io::{Read, Write};
 
@@ -242,20 +243,28 @@ pub(crate) fn read_header<R: Read>(reader: &mut CountingReader<R>) -> Result<(Tr
 /// ends before the declared record count.
 pub fn read_trace<R: Read>(reader: &mut R) -> Result<Trace> {
     let mut stream = FastBtrtReader::new(reader, DEFAULT_CHUNK_RECORDS)?;
-    let mut builder = TraceBuilder::with_metadata(stream.metadata().clone());
-    builder.reserve(stream.declared_count().min(1 << 24) as usize);
+    let mut records = Vec::with_capacity(stream.declared_count().min(1 << 24) as usize);
+    // The chunks' dense ids index the statistics, so the address-keyed map
+    // is built once at the end instead of walked once per record.
+    let mut stats = DenseTraceStats::new();
     while let Some(chunk) = stream.pull() {
         let chunk = chunk?;
-        builder.extend(chunk.records().iter().copied());
+        stats.observe_chunk(&chunk);
+        records.extend_from_slice(chunk.records());
         stream.recycle(chunk);
     }
-    Ok(builder.build())
+    Ok(Trace::with_stats(
+        stream.metadata().clone(),
+        records,
+        stats.into_trace_stats(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::{BranchAddr, Outcome};
+    use crate::trace::TraceBuilder;
     use btr_wire::varint::zigzag_decode;
 
     fn sample_trace() -> Trace {

@@ -12,7 +12,7 @@
 //!   per ~256 KiB, not per byte;
 //! * records are decoded straight from `&[u8]` with
 //!   [`btr_wire::varint::read_varint_slice`] (single-byte fast path for the
-//!   delta-encoded common case). While at least [`MAX_RECORD_BYTES`] bytes
+//!   delta-encoded common case). While at least `MAX_RECORD_BYTES` bytes
 //!   are buffered, a record decode cannot hit end-of-buffer, so the hot loop
 //!   carries no refill checks per field;
 //! * conditional records land directly in the columnar [`TraceChunk`] layout
@@ -32,11 +32,9 @@
 //! (`tests/common/reference_btrt.rs`, compiled only by tests and the
 //! `decode_fast` bench) across adversarial chunkings, every truncation point
 //! and single-byte corruption.
-//!
-//! [`MAX_RECORD_BYTES`]: super::binary::MAX_RECORD_BYTES
 
 use crate::error::TraceError;
-use crate::interned::{IncrementalInterner, InternedRecord};
+use crate::interned::IncrementalInterner;
 use crate::io::binary::{
     kind_from_code, read_header, varint_error, CountingReader, FLAG_TAKEN, FLAG_TARGET, KIND_MASK,
     MAX_RECORD_BYTES,
@@ -364,18 +362,14 @@ impl<R: Read> ChunkStream for FastBtrtReader<R> {
 /// Fails on any decode error the streaming fast path would report.
 pub fn read_interned_btrt<P: AsRef<Path>>(path: P) -> Result<(TraceMetadata, InternedTrace)> {
     let mut reader = FastBtrtReader::open(path, DEFAULT_CHUNK_RECORDS)?;
-    let mut records: Vec<InternedRecord> =
-        Vec::with_capacity(reader.declared_count().min(1 << 24) as usize);
+    // A local trace file is trusted to size the first allocation (capped).
+    let mut interned = InternedTrace::with_capacity(reader.declared_count().min(1 << 24) as usize);
     while let Some(chunk) = reader.pull() {
         let chunk = chunk?;
-        records.extend(chunk.conditional());
+        interned.extend_chunk(&chunk);
         reader.recycle(chunk);
     }
-    let metadata = reader.metadata.clone();
-    Ok((
-        metadata,
-        InternedTrace::from_parts(reader.interner.into_addrs(), records),
-    ))
+    Ok((reader.metadata, interned))
 }
 
 #[cfg(test)]

@@ -119,6 +119,21 @@ impl Trace {
         for r in &records {
             stats.observe(r);
         }
+        Trace::with_stats(metadata, records, stats)
+    }
+
+    /// Assembles a trace from records and the statistics already folded over
+    /// exactly those records (by a chunk decoder's dense pass), skipping the
+    /// per-record map fold of [`Trace::from_records`].
+    pub(crate) fn with_stats(
+        metadata: TraceMetadata,
+        records: Vec<BranchRecord>,
+        stats: TraceStats,
+    ) -> Self {
+        debug_assert_eq!(
+            stats.total_conditional() + stats.total_other(),
+            records.len() as u64
+        );
         let conditional = conditional_subset(&records, &stats);
         Trace {
             metadata,

@@ -1,10 +1,21 @@
 //! Property-based tests for address interning and the cached conditional
 //! subset: `intern()` must round-trip addresses and preserve record order for
-//! any record mix, and `InternedTrace::truncate(n)` must equal interning the
-//! first `n` conditional records.
+//! any record mix, `InternedTrace::truncate(n)` must equal interning the
+//! first `n` conditional records, and an interned trace built from a chunk
+//! decoder's id columns (`InternedTrace::extend_chunk`) must equal
+//! `intern()` of the eagerly read trace, for `BTRT` and text at every chunk
+//! size.
 
-use btr_trace::{BranchAddr, BranchKind, BranchRecord, Outcome, Trace, TraceMetadata};
+use btr_trace::io::{binary, text};
+use btr_trace::{
+    BranchAddr, BranchKind, BranchRecord, ChunkStream, ChunkedTraceReader, FastBtrtReader,
+    InternedTrace, Outcome, Trace, TraceMetadata, DEFAULT_CHUNK_RECORDS,
+};
 use proptest::prelude::*;
+
+/// The chunk sizes the chunk route is checked under: degenerate, prime,
+/// small and the production default.
+const CHUNK_SIZES: [usize; 4] = [1, 7, 64, DEFAULT_CHUNK_RECORDS];
 
 fn arb_kind() -> impl Strategy<Value = BranchKind> {
     prop_oneof![
@@ -100,4 +111,86 @@ proptest! {
             prop_assert_eq!(&truncated, &prefix, "n = {}", n);
         }
     }
+}
+
+/// Drains a chunk stream into an interned trace through the chunk route.
+fn interned_from_chunks<S: ChunkStream>(mut stream: S) -> InternedTrace {
+    let mut interned = InternedTrace::new();
+    while let Some(chunk) = stream.pull() {
+        let chunk = chunk.expect("an encoded trace decodes");
+        interned.extend_chunk(&chunk);
+        stream.recycle(chunk);
+    }
+    interned
+}
+
+/// Checks the chunk route against `intern()` of the eager read, for both
+/// encodings at every chunk size.
+fn assert_chunk_route_matches_eager(trace: &Trace) {
+    let mut btrt = Vec::new();
+    binary::write_trace(&mut btrt, trace).expect("writing to a Vec cannot fail");
+    let mut txt = Vec::new();
+    text::write_trace(&mut txt, trace).expect("writing to a Vec cannot fail");
+    let eager_btrt = binary::read_trace(&mut btrt.as_slice()).expect("valid BTRT");
+    let eager_text = text::read_trace(&mut txt.as_slice()).expect("valid text");
+    let expected = trace.intern();
+    assert_eq!(eager_btrt.intern(), expected);
+    assert_eq!(eager_text.intern(), expected);
+    for chunk_records in CHUNK_SIZES {
+        let reader = FastBtrtReader::new(btrt.as_slice(), chunk_records).expect("valid header");
+        assert_eq!(
+            interned_from_chunks(reader),
+            expected,
+            "BTRT at {chunk_records} records per chunk"
+        );
+        let reader = ChunkedTraceReader::text(txt.as_slice(), chunk_records);
+        assert_eq!(
+            interned_from_chunks(reader),
+            expected,
+            "text at {chunk_records} records per chunk"
+        );
+    }
+}
+
+proptest! {
+    #[test]
+    fn chunk_route_equals_interning_the_eager_read(trace in arb_trace()) {
+        // `arb_trace` mixes every record kind in, so non-conditional records
+        // sit between, before and after the conditional ones.
+        assert_chunk_route_matches_eager(&trace);
+    }
+}
+
+#[test]
+fn chunk_route_interns_the_empty_trace_to_empty() {
+    let empty = Trace::from_records(TraceMetadata::named("empty"), Vec::new());
+    assert_chunk_route_matches_eager(&empty);
+    assert_eq!(empty.intern(), InternedTrace::new());
+}
+
+#[test]
+fn chunk_route_matches_past_the_decoders_intern_cache() {
+    // More static branches than the fast decoder's 8 Ki-slot intern cache,
+    // revisited in a scrambled order with calls mixed in, so ids come from
+    // cache hits, cache misses and evictions alike.
+    let statics = 20_000u64;
+    let mut records = Vec::new();
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    for i in 0..3 * statics {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let addr = BranchAddr::new(0x10_0000 + (state % statics) * 4);
+        if i % 11 == 10 {
+            records.push(BranchRecord::new(addr, BranchKind::Call, Outcome::Taken));
+        } else {
+            records.push(BranchRecord::conditional(
+                addr,
+                Outcome::from_bool(state & 1 == 1),
+            ));
+        }
+    }
+    let trace = Trace::from_records(TraceMetadata::named("wide"), records);
+    assert!(trace.static_conditional_count() > 8 * 1024);
+    assert_chunk_route_matches_eager(&trace);
 }
